@@ -1,14 +1,13 @@
-// Experiment J1 — the two-tier JIT's headline: the type-specialized
-// tier closes the gap between the call-threaded JIT and native C.
+// Experiment J1 — the JIT's headline: specialized regions entered from
+// the VM loop close the gap between the VM and native C.
 //
 // The paper's §VI kernels (1-D heat stencil, n-body accumulation),
-// reduced to their inner loops, on four execution variants:
+// reduced to their inner loops, on three execution variants:
 //   vm        — bytecode VM (the semantic reference)
-//   jit-ct    — call-threaded JIT only (RunConfig::jit_spec = false)
-//   jit-spec  — with the register-allocating specialized tier
+//   jit       — the VM plus register-allocating specialized regions
 //   native    — Backend::kNative (lcc-emitted C via the host cc)
-// The shape that must reproduce: jit-spec >= 2x jit-ct on these loops,
-// and jit-spec within 3x of native.
+// The shape that must reproduce: jit >= 2x vm on these loops, and jit
+// within 3x of native.
 #include <string>
 
 #include "bench_common.hpp"
@@ -18,9 +17,8 @@
 namespace {
 
 // §VI heat: Jacobi sweeps over a private SRSLY NUMBAR block. Indexed
-// loads/stores stay helper calls in both tiers; the stencil arithmetic
-// and the loop counters are what the specialized tier lifts into
-// registers.
+// loads/stores stay runtime calls; the stencil arithmetic and the loop
+// counters are what the regions lift into registers.
 std::string heat_kernel(int sweeps) {
   return "HAI 1.2\n"
          "I HAS A u ITZ SRSLY LOTZ A NUMBARS AN THAR IZ 66\n"
@@ -51,7 +49,7 @@ std::string heat_kernel(int sweeps) {
 // §VI n-body: the pairwise force accumulation, with the softened
 // inverse square replaced by its multiply/add core (QUOSHUNT can throw,
 // which would end every region) — straight-line NUMBAR arithmetic, the
-// specialized tier's best case.
+// regions' best case.
 std::string nbody_kernel(int pairs) {
   return "HAI 1.2\n"
          "I HAS A fx ITZ SRSLY A NUMBAR AN ITZ 0.0\n"
@@ -79,8 +77,7 @@ constexpr int kSweeps = 300;
 constexpr int kPairs = 20000;
 
 void run_variant(benchmark::State& state, const std::string& src,
-                 lol::Backend backend, std::optional<bool> jit_spec,
-                 std::int64_t items) {
+                 lol::Backend backend, std::int64_t items) {
   if (backend == lol::Backend::kJit && !lol::codegen::jit_available()) {
     state.SkipWithError("jit unavailable on this host");
     return;
@@ -93,7 +90,6 @@ void run_variant(benchmark::State& state, const std::string& src,
   auto prog = bench::compile_once(src);
   lol::RunConfig cfg;
   cfg.backend = backend;
-  cfg.jit_spec = jit_spec;
   // Warm the code caches outside the timed loop (native pays a cc fork
   // on the cold run).
   if (!lol::run(prog, cfg).ok) {
@@ -111,48 +107,33 @@ constexpr std::int64_t kHeatItems =
     static_cast<std::int64_t>(kSweeps) * 2 * 64;
 
 void BM_Heat_Vm(benchmark::State& s) {
-  run_variant(s, heat_kernel(kSweeps), lol::Backend::kVm, {}, kHeatItems);
-}
-void BM_Heat_JitCallThreaded(benchmark::State& s) {
-  run_variant(s, heat_kernel(kSweeps), lol::Backend::kJit, false,
-              kHeatItems);
+  run_variant(s, heat_kernel(kSweeps), lol::Backend::kVm, kHeatItems);
 }
 void BM_Heat_JitSpecialized(benchmark::State& s) {
-  run_variant(s, heat_kernel(kSweeps), lol::Backend::kJit, true,
-              kHeatItems);
+  run_variant(s, heat_kernel(kSweeps), lol::Backend::kJit, kHeatItems);
 }
 void BM_Heat_Native(benchmark::State& s) {
-  run_variant(s, heat_kernel(kSweeps), lol::Backend::kNative, {},
-              kHeatItems);
+  run_variant(s, heat_kernel(kSweeps), lol::Backend::kNative, kHeatItems);
 }
 
 void BM_Nbody_Vm(benchmark::State& s) {
-  run_variant(s, nbody_kernel(kPairs), lol::Backend::kVm, {}, kPairs);
-}
-void BM_Nbody_JitCallThreaded(benchmark::State& s) {
-  run_variant(s, nbody_kernel(kPairs), lol::Backend::kJit, false, kPairs);
+  run_variant(s, nbody_kernel(kPairs), lol::Backend::kVm, kPairs);
 }
 void BM_Nbody_JitSpecialized(benchmark::State& s) {
-  run_variant(s, nbody_kernel(kPairs), lol::Backend::kJit, true, kPairs);
+  run_variant(s, nbody_kernel(kPairs), lol::Backend::kJit, kPairs);
 }
 void BM_Nbody_Native(benchmark::State& s) {
-  run_variant(s, nbody_kernel(kPairs), lol::Backend::kNative, {}, kPairs);
+  run_variant(s, nbody_kernel(kPairs), lol::Backend::kNative, kPairs);
 }
 
 }  // namespace
 
 BENCHMARK(BM_Heat_Vm)->Unit(benchmark::kMillisecond)->MinTime(0.2);
-BENCHMARK(BM_Heat_JitCallThreaded)
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.2);
 BENCHMARK(BM_Heat_JitSpecialized)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.2);
 BENCHMARK(BM_Heat_Native)->Unit(benchmark::kMillisecond)->MinTime(0.2);
 BENCHMARK(BM_Nbody_Vm)->Unit(benchmark::kMillisecond)->MinTime(0.2);
-BENCHMARK(BM_Nbody_JitCallThreaded)
-    ->Unit(benchmark::kMillisecond)
-    ->MinTime(0.2);
 BENCHMARK(BM_Nbody_JitSpecialized)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.2);
@@ -166,9 +147,9 @@ int main(int argc, char** argv) {
     if (std::string(argv[i]).find("json") != std::string::npos) json = true;
   }
   if (!json) {
-    bench::banner("J1 (two-tier JIT)",
-                  "Specialized vs call-threaded JIT on the SVI heat and "
-                  "n-body inner loops (items = inner-loop iterations).");
+    bench::banner("J1 (JIT regions)",
+                  "VM vs VM + specialized regions vs native on the SVI heat "
+                  "and n-body inner loops (items = inner-loop iterations).");
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

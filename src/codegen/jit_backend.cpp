@@ -47,8 +47,8 @@ struct JitMetrics {
             "Bytecode ops retired by the type-specialized JIT tier")),
         deopts(obs::Registry::global().counter(
             "lol_jit_deopts_total",
-            "Specialized-region guard failures (fell back to the generic "
-            "call-threaded tier)")) {}
+            "Specialized-region guard failures (the VM ran the region's "
+            "first op instead)")) {}
 };
 
 JitMetrics& jit_metrics() {
@@ -71,14 +71,6 @@ bool jit_available() {
 #endif
 }
 
-bool jit_spec_enabled() {
-  static const bool on = [] {
-    const char* env = std::getenv("LOL_JIT_SPEC");
-    return !(env != nullptr && env[0] == '0' && env[1] == '\0');
-  }();
-  return on;
-}
-
 namespace {
 
 bool jit_dump_enabled() {
@@ -89,8 +81,7 @@ bool jit_dump_enabled() {
 }  // namespace
 
 std::shared_ptr<const JitProgram> JitProgram::get_or_build(
-    std::shared_ptr<const vm::Chunk> chunk, std::string* error,
-    std::optional<bool> specialize) {
+    std::shared_ptr<const vm::Chunk> chunk, std::string* error) {
   if (!jit_available()) {
     if (error != nullptr) {
       *error = "JIT backend unavailable on this host (needs x86-64, mmap "
@@ -98,29 +89,28 @@ std::shared_ptr<const JitProgram> JitProgram::get_or_build(
     }
     return nullptr;
   }
-  JitEmitOptions opts;
-  opts.specialize = specialize.value_or(jit_spec_enabled());
-  std::string key = chunk_cache_key(*chunk);
-  key.push_back(opts.specialize ? 1 : 0);
   JitBuild built = jit_cache().get_or_build(
-      key,
+      chunk_cache_key(*chunk),
       [&]() -> JitBuild {
         JitBuild b;
         const auto t0 = std::chrono::steady_clock::now();
         std::string dump;
-        if (jit_dump_enabled()) opts.dump = &dump;
-        std::vector<std::uint8_t> code;
-        JitEmitInfo info;
-        if (!emit_chunk_x86_64(*chunk, opts, &code, &b.error, &info)) {
-          return b;
-        }
         auto prog = std::shared_ptr<JitProgram>(new JitProgram());
         prog->chunk_ = chunk;
-        prog->info_ = info;
-        if (!prog->mem_.map_and_seal(code.data(), code.size(), &b.error)) {
-          return b;
+        std::vector<std::uint8_t> code = emit_chunk_x86_64(
+            *chunk, &prog->info_, jit_dump_enabled() ? &dump : nullptr);
+        if (!code.empty()) {
+          if (!prog->mem_.map_and_seal(code.data(), code.size(), &b.error)) {
+            return b;
+          }
+          const auto* base =
+              static_cast<const std::uint8_t*>(prog->mem_.base());
+          prog->entry_.assign(chunk->code.size(), nullptr);
+          for (const auto& [pc, off] : prog->info_.entries) {
+            prog->entry_[pc] = base + off;
+          }
         }
-        if (opts.dump != nullptr) {
+        if (!dump.empty()) {
           std::fprintf(stderr, "%s", dump.c_str());
           std::fflush(stderr);
         }
@@ -139,36 +129,34 @@ std::shared_ptr<const JitProgram> JitProgram::get_or_build(
   return built.prog;
 }
 
-namespace {
-
-/// The r13 block emitted code addresses: header plus the spill bank,
-/// contiguous so bank displacements are env-relative constants.
-struct SpecFrame {
-  JitSpecEnv env;
-  std::uint64_t bank[kJitSpecMaxBank] = {};
-};
-static_assert(offsetof(SpecFrame, bank) == kJitEnvBankOffset);
-
-}  // namespace
-
 void JitProgram::run_pe(rt::ExecContext& ctx) const {
   vm::Vm vm(*chunk_, ctx);
-  vm.reset_for_run();
-  detail::jit_pending() = nullptr;
-  SpecFrame frame;
-  frame.env.ctx = &ctx;
-  frame.env.me = ctx.pe->id();
-  frame.env.n_pes = ctx.pe->n_pes();
-  auto entry =
-      reinterpret_cast<JitEntryFn>(const_cast<void*>(mem_.base()));
-  entry(&vm, &frame.env);
-  if (frame.env.spec_ops != 0) jit_metrics().spec_ops.inc(frame.env.spec_ops);
-  if (frame.env.deopts != 0) jit_metrics().deopts.inc(frame.env.deopts);
-  if (detail::jit_pending() != nullptr) {
-    std::exception_ptr e = detail::jit_pending();
-    detail::jit_pending() = nullptr;
-    std::rethrow_exception(e);
+  if (entry_.empty()) {
+    vm.run();
+    return;
   }
+  JitSpecEnv env;
+  env.ctx = &ctx;
+  env.vm = &vm;
+  env.me = ctx.pe->id();
+  env.n_pes = ctx.pe->n_pes();
+  vm::Regions regions;
+  regions.entry = entry_.data();
+  regions.enter = reinterpret_cast<std::int64_t (*)(void*, const void*)>(
+      const_cast<void*>(mem_.base()));
+  regions.env = &env;
+  regions.pending = &env.pending;
+  auto flush = [&] {
+    if (env.spec_ops != 0) jit_metrics().spec_ops.inc(env.spec_ops);
+    if (env.deopts != 0) jit_metrics().deopts.inc(env.deopts);
+  };
+  try {
+    vm.run(&regions);
+  } catch (...) {
+    flush();
+    throw;
+  }
+  flush();
 }
 
 }  // namespace lol::codegen

@@ -1,24 +1,24 @@
-// Direct x86-64 execution of VM bytecode (Backend::kJit).
+// Backend::kJit: the VM plus specialized machine-code regions.
 //
-// Where Backend::kNative forks the host C toolchain per cold program
-// (~100ms, an external dependency), the JIT lowers the already-compiled
-// bytecode chunk to machine code in-process — a cold compile is the
-// emitter plus one mmap/mprotect, microseconds instead of a fork/exec.
-// Semantics are the VM's own op_* bodies called from emitted code, so
-// step budgets, deadlines, abort, replay scheduling and fault injection
-// carry over unchanged and output stays byte-identical to the other
-// backends by construction.
+// The bytecode VM (vm/vm.hpp) is the only generic executor. The JIT adds
+// type-specialized regions (jit_analysis.hpp, jit_emitter.hpp) in W^X
+// pages, which the VM's dispatch loop enters at their first pc. So step
+// budgets, deadlines, abort, replay scheduling, fault injection and
+// output are the VM's own for everything a region does not cover, and
+// regions are held to the same contracts at their boundaries. A cold
+// compile is the analysis plus the region emitter and at most one
+// mmap/mprotect, microseconds instead of a host-cc fork.
 //
 // Availability: x86-64 + POSIX mmap, a kernel that allows the W^X
-// RW->RX flip, and LOL_JIT != 0. When unavailable the engine silently
-// falls back to the cc+dlopen native backend (the portability tier).
+// RW->RX flip, and LOL_JIT != 0. When unavailable the engine runs the
+// plain VM instead.
 #pragma once
 
 #include <cstddef>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
+#include <vector>
 
 #include "codegen/jit_emitter.hpp"
 #include "codegen/jit_memory.hpp"
@@ -30,39 +30,34 @@ struct ExecContext;
 
 namespace lol::codegen {
 
-/// True when Backend::kJit can execute here. Memoized after first call.
+/// True when emitted regions can execute here; when false, Backend::kJit
+/// runs the plain VM. Memoized after first call.
 bool jit_available();
 
-/// True when the type-specialized tier is enabled (LOL_JIT_SPEC != 0).
-/// Memoized after first call; part of the code-cache key so flipping it
-/// between runs of one process rebuilds rather than mixing tiers.
-bool jit_spec_enabled();
-
-/// One program's emitted machine code plus the chunk it interprets.
+/// One program's emitted regions plus the chunk the VM runs around them.
 /// Immutable and shareable across concurrent runs — all mutable state
-/// lives in the per-PE Vm handed to run_pe.
+/// lives in the per-PE Vm and JitSpecEnv that run_pe creates.
 class JitProgram {
  public:
   JitProgram(const JitProgram&) = delete;
   JitProgram& operator=(const JitProgram&) = delete;
 
   /// Emits (or fetches from the process-wide single-flight cache) the
-  /// machine code for `chunk`. Keyed by the chunk's serialized bytes
-  /// plus the specialization flag, so N concurrent cold misses on one
-  /// program emit exactly once and both tiers can coexist. `specialize`
-  /// overrides jit_spec_enabled() when set (RunConfig::jit_spec).
-  /// Returns null and fills `error` when the JIT is unavailable or
-  /// emission fails.
+  /// regions for `chunk`. Keyed by the chunk's serialized bytes, so N
+  /// concurrent cold misses on one program emit exactly once. Every
+  /// chunk gets a program, including one with no region (it maps no
+  /// pages and runs as the plain VM). Returns null and fills `error`
+  /// when the JIT is unavailable or the pages cannot be mapped.
   static std::shared_ptr<const JitProgram> get_or_build(
-      std::shared_ptr<const vm::Chunk> chunk, std::string* error,
-      std::optional<bool> specialize = std::nullopt);
+      std::shared_ptr<const vm::Chunk> chunk, std::string* error);
 
-  /// Runs one PE: resets a Vm over the chunk, enters the emitted code,
-  /// and rethrows any exception a helper parked (StepLimitError,
-  /// RuntimeError, PeKilledError, abort).
+  /// Runs one PE on a Vm over the chunk with this program's regions
+  /// attached. Exceptions (StepLimitError, RuntimeError, PeKilledError,
+  /// abort) propagate exactly as from the VM.
   void run_pe(rt::ExecContext& ctx) const;
 
-  /// Bytes of sealed executable code (compile-cache accounting).
+  /// Bytes of sealed executable code (compile-cache accounting); 0 for a
+  /// program without regions.
   [[nodiscard]] std::size_t code_bytes() const { return mem_.size(); }
 
   /// What the emitter produced (specialized-region coverage).
@@ -74,6 +69,7 @@ class JitProgram {
   std::shared_ptr<const vm::Chunk> chunk_;
   ExecMem mem_;
   JitEmitInfo info_;
+  std::vector<const void*> entry_;  // per pc; empty without regions
 };
 
 /// Per-CompiledProgram memo mirroring NativeSlot/VmSlot: filled under its

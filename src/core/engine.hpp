@@ -48,10 +48,10 @@ enum class Backend {
             // in-process on the same shmem substrate; needs a host C
             // compiler (lol::codegen::native_available()) or the run
             // fails with an explanatory error
-  kJit,     // VM bytecode lowered directly to x86-64 in executable pages
-            // (W^X mmap) — no host toolchain, microsecond cold compiles.
-            // Falls back to kNative automatically when the host is not
-            // x86-64, the kernel refuses PROT_EXEC, or LOL_JIT=0
+  kJit,     // the VM plus type-specialized regions emitted as x86-64 in
+            // W^X pages, entered from the VM loop — no host toolchain,
+            // microsecond cold compiles. Runs the plain VM when the host
+            // is not x86-64, the kernel refuses PROT_EXEC, or LOL_JIT=0
             // (lol::codegen::jit_available())
 };
 
@@ -94,9 +94,9 @@ struct CompiledProgram {
   /// every run compiles afresh — correct, just slower.
   std::shared_ptr<vm::VmSlot> vm_slot;
 
-  /// Backend::kJit memo: the emitted machine code for this program,
-  /// filled on first JIT run (see codegen/jit_backend.hpp). Shares the
-  /// vm_slot chunk. Null on hand-constructed instances falls back to
+  /// Backend::kJit memo: the emitted regions for this program, filled
+  /// on first JIT run (see codegen/jit_backend.hpp). Shares the vm_slot
+  /// chunk. Null on hand-constructed instances falls back to
   /// the process-wide JIT code cache.
   std::shared_ptr<codegen::JitSlot> jit_slot;
 
@@ -154,12 +154,6 @@ struct RunConfig {
   /// Explicit executor instance; overrides `executor` when set (hosts
   /// that want their own pool lifetime instead of the shared one).
   shmem::ExecutorPtr executor_impl;
-
-  /// Backend::kJit only: force the type-specialized tier on/off for
-  /// this run, overriding LOL_JIT_SPEC (benchmarks and tests compare
-  /// the tiers in one process; both variants coexist in the code
-  /// cache). nullopt = follow the environment.
-  std::optional<bool> jit_spec;
 
   /// Sample wall-clock wait times (barrier park, lock spin) into the
   /// per-PE profiles returned in RunResult::pe_profiles. Event counts

@@ -1,6 +1,7 @@
 #include "vm/vm.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "rt/ops.hpp"
 
@@ -151,22 +152,6 @@ void Vm::store_cell(Cell& c, bool indexed, bool remote, const Value* index,
     return;
   }
   throw RuntimeError("'Z index applied to a non-array variable");
-}
-
-void Vm::reset_for_run() {
-  frames_.clear();
-  stack_.clear();
-  bff_.clear();
-  // Spill contract with the JIT's specialized tier: region exits
-  // materialize up to codegen::kMaxVstack virtual entries back onto this
-  // stack through JitSpecAccess::push (same bad_alloc discipline as any
-  // op). Reserving here keeps the common materialization re-entrant
-  // without a grow in emitted-code context.
-  stack_.reserve(64);
-  Frame main;
-  main.slots.resize(static_cast<std::size_t>(chunk_.main_slots));
-  main.name_map = 0;
-  frames_.push_back(std::move(main));
 }
 
 void Vm::op_const(std::int32_t a) {
@@ -369,30 +354,6 @@ void Vm::op_binary(std::int32_t a) {
   push(rt::op_binary(static_cast<ast::BinOp>(a), lhs, rhs));
 }
 
-BinFastI Vm::binfast_prep_numbr() {
-  std::size_t n = stack_.size();
-  if (n < 2 || !stack_[n - 1].is_numbr() || !stack_[n - 2].is_numbr()) {
-    return {};
-  }
-  ctx_.count_step();
-  std::int64_t rhs = stack_[n - 1].numbr_raw();
-  stack_.pop_back();
-  // pop_back never reallocates, so the payload pointer stays valid for
-  // the emitted read-modify-write that follows.
-  return {stack_.back().numbr_ptr(), rhs};
-}
-
-BinFastD Vm::binfast_prep_numbar() {
-  std::size_t n = stack_.size();
-  if (n < 2 || !stack_[n - 1].is_numbar() || !stack_[n - 2].is_numbar()) {
-    return {};
-  }
-  ctx_.count_step();
-  double rhs = stack_[n - 1].numbar_raw();
-  stack_.pop_back();
-  return {stack_.back().numbar_ptr(), rhs};
-}
-
 void Vm::op_unary(std::int32_t a) {
   Value v = pop();
   push(rt::op_unary(static_cast<ast::UnOp>(a), v));
@@ -485,11 +446,34 @@ void Vm::op_gimmeh() {
   push(Value::yarn(line.value_or("")));
 }
 
-void Vm::run() {
-  reset_for_run();
+void Vm::run(const Regions* regions) {
+  frames_.clear();
+  stack_.clear();
+  bff_.clear();
+  // Region exits materialize up to codegen::kMaxVstack virtual entries
+  // back onto this stack through JitSpecAccess::push; reserving here
+  // keeps that common case from growing it in emitted-code context.
+  stack_.reserve(64);
+  Frame main;
+  main.slots.resize(static_cast<std::size_t>(chunk_.main_slots));
+  main.name_map = 0;
+  frames_.push_back(std::move(main));
 
   std::size_t pc = 0;
   for (;;) {
+    if (regions != nullptr) {
+      if (const void* code = regions->entry[pc]) {
+        std::int64_t next = regions->enter(regions->env, code);
+        if (next >= 0) {
+          pc = static_cast<std::size_t>(next);
+          continue;
+        }
+        if (next == Regions::kThrew) {
+          std::rethrow_exception(std::exchange(*regions->pending, nullptr));
+        }
+        // Regions::kDeopt: this visit runs pc generically.
+      }
+    }
     ctx_.count_step();
     const Instr& in = chunk_.code[pc++];
     switch (in.op) {

@@ -1,11 +1,14 @@
 // The bytecode VM executor. One Vm instance runs one PE of the SPMD
 // launch, sharing the chunk (read-only) with every other PE.
 //
-// Each opcode's semantics live in a public op_* method so the JIT backend
-// can call the exact same bodies from emitted machine code: the two
-// backends are byte-identical by construction, and the interpreter loop
-// below is just a dispatch table over these methods.
+// This is the only generic executor: Backend::kVm runs it alone, and
+// Backend::kJit runs it with a table of specialized machine-code regions
+// (codegen/jit_backend.hpp) that the dispatch loop enters at their first
+// pc. Everything a region cannot prove runs here, so step accounting,
+// replay scheduling and fault injection have one home.
 #pragma once
+
+#include <exception>
 
 #include "rt/exec_context.hpp"
 #include "rt/objects.hpp"
@@ -14,18 +17,23 @@
 
 namespace lol::vm {
 
-/// In-place operand views for the JIT's typed kBinary fast path
-/// (codegen/jit_emitter.cpp). `lhs` points at the left operand's payload
-/// inside the VM value stack — after the prep pops the right operand,
-/// that slot is exactly where kBinary would push its result, so emitted
-/// code computes `*lhs op= rhs` and the stack is already correct.
-struct BinFastI {
-  std::int64_t* lhs = nullptr;
-  std::int64_t rhs = 0;
-};
-struct BinFastD {
-  double* lhs = nullptr;
-  double rhs = 0.0;
+/// Specialized machine code for some pc ranges of a chunk. The VM only
+/// knows where regions start and how to enter one; what a region
+/// computes, and how it hands state back, is the emitter's contract
+/// (codegen/jit_emitter.hpp).
+struct Regions {
+  /// Per chunk pc: the region code starting there, or null.
+  const void* const* entry = nullptr;
+  /// Runs the region at `code` for the PE owning `env`. Returns the pc to
+  /// resume at (the region already materialized the stack and locals),
+  /// kDeopt when an entry guard failed, or kThrew when a runtime call
+  /// caught an exception and parked it in *pending.
+  std::int64_t (*enter)(void* env, const void* code) = nullptr;
+  void* env = nullptr;
+  std::exception_ptr* pending = nullptr;
+
+  static constexpr std::int64_t kDeopt = -1;
+  static constexpr std::int64_t kThrew = -2;
 };
 
 class Vm {
@@ -33,14 +41,19 @@ class Vm {
   Vm(const Chunk& chunk, rt::ExecContext& ctx) : chunk_(chunk), ctx_(ctx) {}
 
   /// Executes the chunk from the top of main. Throws support::RuntimeError
-  /// on semantic errors.
-  void run();
+  /// on semantic errors. With `regions`, the dispatch loop checks the
+  /// region table before charging the step at each pc and runs a region
+  /// that starts there; after a deopt it runs that pc itself, so a guard
+  /// that always fails costs one entry attempt per visit, never a loop.
+  void run(const Regions* regions = nullptr);
 
-  /// Clears all execution state and pushes the main frame. run() does this
-  /// itself; the JIT calls it before entering emitted code.
-  void reset_for_run();
-
-  [[nodiscard]] rt::ExecContext& ctx() { return ctx_; }
+ private:
+  /// The region runtime (codegen/jit_runtime.cpp) reads and writes frame
+  /// cells and the value stack directly: guards read cells, and region
+  /// exits re-create exactly the state the VM ops would have produced
+  /// (same Cell fields, same stack order) before the loop resumes.
+  /// Keeping the accessor a friend documents that contract.
+  friend struct JitSpecAccess;
 
   // One method per opcode. Operand names mirror Instr::{a,b,c}. Control
   // flow returns its result instead of mutating a pc the caller owns:
@@ -73,25 +86,6 @@ class Vm {
   void op_bff_pop(std::int32_t a);
   void op_visible(std::int32_t a, std::int32_t b);
   void op_gimmeh();
-
-  /// JIT fast-path preps. When the top two stack slots are both NUMBR
-  /// (resp. NUMBAR): charge the step — exactly what the generic kBinary
-  /// helper would charge — pop the right operand, and return the left
-  /// operand in place plus the popped right value. On a type mismatch
-  /// return a null lhs *without* charging: the caller falls back to the
-  /// generic helper, which charges and runs the full rt::op_binary
-  /// coercion path. May throw (step budget, abort), like any op.
-  BinFastI binfast_prep_numbr();
-  BinFastD binfast_prep_numbar();
-
- private:
-  /// The JIT's specialized tier (codegen/jit_runtime.cpp) reads and
-  /// writes frame cells and the value stack directly when a region deopts
-  /// or exits: it re-creates exactly the state the call-threaded ops
-  /// would have produced (same Cell fields, same stack order), so the
-  /// generic tier can resume mid-program. Keeping the accessor a friend
-  /// (instead of widening the public surface) documents that contract.
-  friend struct JitSpecAccess;
 
   /// One variable slot: scalar value, private array, or symmetric handle.
   struct Cell {

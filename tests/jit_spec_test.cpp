@@ -1,10 +1,13 @@
-// Type-specialized JIT tier tests: golden type-lattice plans (guard
-// placement, spill-at-materialization exits), deopt on a mid-loop
-// NUMBR -> YARN flip, step-budget exactness at region boundaries, and
-// record -> replay schedule-trace identity through the specialized
-// symmetric-array path.
+// JIT region tests: golden type-lattice plans (guard placement,
+// spill-at-materialization exits), the VM/region hand-off contract
+// (zero-region programs, deopt without re-entry, exceptions parked per PE
+// and rethrown by the VM), deopt on a mid-loop NUMBR -> YARN flip,
+// step-budget exactness at region boundaries, and record -> replay
+// schedule-trace identity through the specialized symmetric-array path.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 
@@ -13,7 +16,12 @@
 #include "core/engine.hpp"
 #include "obs/metrics.hpp"
 #include "replay/trace.hpp"
+#include "shmem/executor.hpp"
 #include "vm/compiler.hpp"
+
+#ifndef LOL_EXAMPLES_DIR
+#define LOL_EXAMPLES_DIR "examples/lol"
+#endif
 
 namespace {
 
@@ -92,7 +100,6 @@ TEST(JitSpec, LatticePromotesMixedNumbrNumbarBinaries) {
   lol::RunConfig vm_cfg, jit_cfg;
   vm_cfg.backend = lol::Backend::kVm;
   jit_cfg.backend = lol::Backend::kJit;
-  jit_cfg.jit_spec = true;
   auto prog = lol::compile(
       "HAI 1.2\n"
       "I HAS A acc ITZ A NUMBAR AN ITZ 0.0\n"
@@ -140,7 +147,6 @@ TEST(JitSpec, EmitterCoversRegionsAndCountsSpecializedOps) {
   std::string err;
   auto jit = lol::codegen::JitProgram::get_or_build(chunk, &err);
   ASSERT_NE(jit, nullptr) << err;
-  if (!lol::codegen::jit_spec_enabled()) GTEST_SKIP() << "spec off";
   EXPECT_GT(jit->emit_info().regions, 0u);
   EXPECT_GT(jit->emit_info().spec_pcs, 0u);
 
@@ -156,11 +162,136 @@ TEST(JitSpec, EmitterCoversRegionsAndCountsSpecializedOps) {
       << "specialized tier reported coverage but retired no ops";
 }
 
-// ---- deopt: guard failure falls back to the generic tier --------------
+// ---- the VM/region hand-off --------------------------------------------
+
+TEST(JitSpec, ZeroRegionProgramStillGetsAJitProgram) {
+  if (!lol::codegen::jit_available()) GTEST_SKIP() << "jit unavailable";
+  std::ifstream in(std::string(LOL_EXAMPLES_DIR) + "/hello_team.lol");
+  ASSERT_TRUE(in) << "missing examples/lol/hello_team.lol";
+  auto prog = lol::compile(std::string(std::istreambuf_iterator<char>(in),
+                                        std::istreambuf_iterator<char>()));
+  auto chunk = std::make_shared<lol::vm::Chunk>(
+      lol::vm::compile_program(prog.program, prog.analysis));
+  auto& compiles = lol::obs::Registry::global().counter(
+      "lol_jit_compiles_total",
+      "Bytecode-to-x86-64 JIT compilations (cache misses)");
+  const std::uint64_t before = compiles.value();
+  std::string err;
+  auto jit = lol::codegen::JitProgram::get_or_build(chunk, &err);
+  ASSERT_NE(jit, nullptr) << err;
+  // A cold build counts once even when nothing specializes; such a
+  // program maps no pages and runs as the plain VM.
+  EXPECT_EQ(compiles.value() - before, 1u);
+  EXPECT_EQ(jit->emit_info().regions, 0u);
+  EXPECT_EQ(jit->code_bytes(), 0u);
+  EXPECT_EQ(lol::codegen::JitProgram::get_or_build(chunk, &err), jit);
+  EXPECT_EQ(compiles.value() - before, 1u);
+
+  RunResult vm = run_backend(prog, Backend::kVm, 3);
+  RunResult jr = run_backend(prog, Backend::kJit, 3);
+  ASSERT_TRUE(jr.ok) << jr.first_error();
+  EXPECT_EQ(vm.pe_output, jr.pe_output);
+}
+
+TEST(JitSpec, AlwaysFailingGuardDeoptsOncePerEntryWithoutReentry) {
+  if (!lol::codegen::jit_available()) GTEST_SKIP() << "jit unavailable";
+  // x is NUMBR-hinted but holds a YARN before the loop starts. The
+  // VISIBLE ends one region, so the rest of the body is a region of its
+  // own, entered once per iteration; its guard on x fails every time.
+  // After each deopt the VM runs that pc itself, so the program finishes
+  // and the deopt count equals the entry count: 5 iterations, 5 deopts.
+  lol::CompileOptions copts;
+  copts.opt_level = 0;  // pin the region boundaries the count relies on
+  auto prog = lol::compile(
+      "HAI 1.2\n"
+      "I HAS A spec_reentry_salt ITZ \"always\"\n"
+      "I HAS A x ITZ 0\n"
+      "x R \"9\"\n"
+      "I HAS A acc ITZ A NUMBR AN ITZ 0\n"
+      "IM IN YR loop UPPIN YR i TIL BOTH SAEM i AN 5\n"
+      "  VISIBLE \".\"\n"
+      "  acc R SUM OF acc AN x\n"
+      "IM OUTTA YR loop\n"
+      "VISIBLE acc\n"
+      "KTHXBYE\n",
+      copts);
+  auto& deopts = lol::obs::Registry::global().counter(
+      "lol_jit_deopts_total",
+      "Specialized-region guard failures (the VM ran the region's "
+      "first op instead)");
+  const std::uint64_t before = deopts.value();
+  RunResult vm = run_backend(prog, Backend::kVm, 1);
+  RunResult jr = run_backend(prog, Backend::kJit, 1);
+  ASSERT_TRUE(vm.ok) << vm.first_error();
+  ASSERT_TRUE(jr.ok) << jr.first_error();
+  EXPECT_EQ(vm.pe_output, jr.pe_output);
+  EXPECT_EQ(deopts.value() - before, 5u);
+}
+
+TEST(JitSpec, OutOfBoundsInsideARegionMatchesVmAndLeavesNothingParked) {
+  if (!lol::codegen::jit_available()) GTEST_SKIP() << "jit unavailable";
+  // The whole fill loop is one region over a guarded SRSLY NUMBR array;
+  // the store at i = 4 throws inside the runtime call, which parks the
+  // exception in the PE's env for the VM to rethrow. Level 0 keeps the
+  // loop from being unrolled into code that runs only once.
+  lol::CompileOptions copts;
+  copts.opt_level = 0;
+  auto bad = lol::compile(
+      "HAI 1.2\n"
+      "I HAS A spec_oob_salt ITZ \"oob\"\n"
+      "I HAS A arr ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 4\n"
+      "IM IN YR fill UPPIN YR i TIL BOTH SAEM i AN 6\n"
+      "  arr'Z i R PRODUKT OF i AN 3\n"
+      "IM OUTTA YR fill\n"
+      "VISIBLE \"unreachable\"\n"
+      "KTHXBYE\n",
+      copts);
+  auto good = lol::compile(
+      "HAI 1.2\n"
+      "I HAS A spec_oob_salt ITZ \"ok\"\n"
+      "I HAS A arr ITZ SRSLY LOTZ A NUMBRS AN THAR IZ 4\n"
+      "IM IN YR fill UPPIN YR i TIL BOTH SAEM i AN 4\n"
+      "  arr'Z i R PRODUKT OF i AN 3\n"
+      "IM OUTTA YR fill\n"
+      "VISIBLE arr'Z 3\n"
+      "KTHXBYE\n",
+      copts);
+  std::string err;
+  auto jit = lol::codegen::JitProgram::get_or_build(
+      std::make_shared<lol::vm::Chunk>(
+          lol::vm::compile_program(bad.program, bad.analysis)),
+      &err);
+  ASSERT_NE(jit, nullptr) << err;
+  ASSERT_EQ(jit->emit_info().regions, 1u);
+  RunResult vm = run_backend(bad, Backend::kVm, 1);
+  ASSERT_FALSE(vm.ok);
+
+  // A one-PE pool launch runs its PE on the calling thread, so both jit
+  // runs below execute on this test's thread: the second one starts on
+  // the thread the first one failed on.
+  RunConfig cfg;
+  cfg.backend = Backend::kJit;
+  cfg.executor = lol::shmem::ExecutorKind::kPool;
+  RunResult jr = lol::run(bad, cfg);
+  EXPECT_FALSE(jr.ok);
+  EXPECT_EQ(jr.first_error(), vm.first_error());
+  EXPECT_NE(jr.first_error().find("array index 4 out of bounds [0, 4)"),
+            std::string::npos)
+      << jr.first_error();
+  // The region's batches end at the throwing store, so the failed PE
+  // charged exactly the VM's steps: nothing after the throw ran twice.
+  ASSERT_EQ(jr.pe_profiles.size(), 1u);
+  EXPECT_EQ(jr.pe_profiles[0].steps, vm.pe_profiles[0].steps);
+
+  RunResult next = lol::run(good, cfg);
+  ASSERT_TRUE(next.ok) << next.first_error();
+  EXPECT_EQ(next.pe_output, run_backend(good, Backend::kVm, 1).pe_output);
+}
+
+// ---- deopt: guard failure falls back to the VM ------------------------
 
 TEST(JitSpec, DeoptsOnNumbrToYarnFlipMidLoop) {
   if (!lol::codegen::jit_available()) GTEST_SKIP() << "jit unavailable";
-  if (!lol::codegen::jit_spec_enabled()) GTEST_SKIP() << "spec off";
   // x is NUMBR-hinted and read in the loop's hot region every
   // iteration; halfway through it flips to a YARN, so every later
   // guarded entry must fail, count a deopt, and resume generically
@@ -182,8 +313,8 @@ TEST(JitSpec, DeoptsOnNumbrToYarnFlipMidLoop) {
       "KTHXBYE\n");
   auto& deopts = lol::obs::Registry::global().counter(
       "lol_jit_deopts_total",
-      "Specialized-region guard failures (fell back to the generic "
-      "call-threaded tier)");
+      "Specialized-region guard failures (the VM ran the region's "
+      "first op instead)");
   std::uint64_t before = deopts.value();
   RunResult vm = run_backend(prog, Backend::kVm, 1);
   RunResult jr = run_backend(prog, Backend::kJit, 1);
@@ -198,33 +329,57 @@ TEST(JitSpec, DeoptsOnNumbrToYarnFlipMidLoop) {
 
 TEST(JitSpec, StepBudgetIsExactAcrossRegionBoundaries) {
   if (!lol::codegen::jit_available()) GTEST_SKIP() << "jit unavailable";
-  // The loop body is one specialized region charged in batches; the
-  // budget edge must land on exactly the same step as the VM's
-  // per-op accounting: S steps pass, S-1 trip the limit.
-  auto prog = lol::compile(
-      "HAI 1.2\n"
-      "I HAS A spec_budget_salt ITZ \"edge\"\n"
-      "I HAS A acc ITZ A NUMBR AN ITZ 0\n"
-      "IM IN YR loop UPPIN YR i TIL BOTH SAEM i AN 50\n"
-      "  acc R SUM OF PRODUKT OF acc AN 1 AN i\n"
-      "IM OUTTA YR loop\n"
-      "VISIBLE acc\n"
-      "KTHXBYE\n");
-  RunResult base = run_backend(prog, Backend::kVm, 1);
-  ASSERT_TRUE(base.ok) << base.first_error();
-  ASSERT_EQ(base.pe_profiles.size(), 1u);
-  std::uint64_t steps = base.pe_profiles[0].steps;
-  ASSERT_GT(steps, 0u);
+  // Loop bodies run as regions charged in batches; the budget edge must
+  // land on exactly the same step as the VM's per-op accounting: S steps
+  // pass, S-1 trip the limit. Two inputs: a NUMBR loop at the default
+  // level, and SRSLY NUMBR/NUMBAR arithmetic incl. min/max at level 0
+  // (which keeps every typed kBinary in the bytecode).
+  lol::CompileOptions o0;
+  o0.opt_level = 0;
+  const lol::CompiledProgram progs[] = {
+      lol::compile("HAI 1.2\n"
+                   "I HAS A spec_budget_salt ITZ \"edge\"\n"
+                   "I HAS A acc ITZ A NUMBR AN ITZ 0\n"
+                   "IM IN YR loop UPPIN YR i TIL BOTH SAEM i AN 50\n"
+                   "  acc R SUM OF PRODUKT OF acc AN 1 AN i\n"
+                   "IM OUTTA YR loop\n"
+                   "VISIBLE acc\n"
+                   "KTHXBYE\n"),
+      lol::compile("HAI 1.2\n"
+                   "I HAS A spec_budget_salt ITZ \"typed\"\n"
+                   "I HAS A s ITZ SRSLY A NUMBR AN ITZ 1\n"
+                   "I HAS A f ITZ SRSLY A NUMBAR AN ITZ 1.5\n"
+                   "IM IN YR lp UPPIN YR i TIL BOTH SAEM i AN 20\n"
+                   "  s R SUM OF s AN 3\n"
+                   "  s R PRODUKT OF s AN 2\n"
+                   "  s R SMALLR OF s AN 100000\n"
+                   "  s R BIGGR OF s AN 7\n"
+                   "  s R DIFF OF s AN 1\n"
+                   "  f R SUM OF f AN 0.25\n"
+                   "  f R PRODUKT OF f AN 1.01\n"
+                   "  f R DIFF OF f AN 0.125\n"
+                   "IM OUTTA YR lp\n"
+                   "VISIBLE SMOOSH s AN \" \" AN f MKAY\n"
+                   "KTHXBYE\n",
+                   o0)};
+  for (const lol::CompiledProgram& prog : progs) {
+    RunResult base = run_backend(prog, Backend::kVm, 1);
+    ASSERT_TRUE(base.ok) << base.first_error();
+    ASSERT_EQ(base.pe_profiles.size(), 1u);
+    std::uint64_t steps = base.pe_profiles[0].steps;
+    ASSERT_GT(steps, 0u);
 
-  for (Backend b : {Backend::kVm, Backend::kJit}) {
-    RunResult exact = run_backend(prog, b, 1, steps);
-    EXPECT_TRUE(exact.ok) << lol::to_string(b) << ": "
-                          << exact.first_error();
-    EXPECT_FALSE(exact.step_limited) << lol::to_string(b);
-    RunResult tight = run_backend(prog, b, 1, steps - 1);
-    EXPECT_FALSE(tight.ok) << lol::to_string(b);
-    EXPECT_TRUE(tight.step_limited)
-        << lol::to_string(b) << " ran past a budget one below exact";
+    for (Backend b : {Backend::kVm, Backend::kJit}) {
+      RunResult exact = run_backend(prog, b, 1, steps);
+      EXPECT_TRUE(exact.ok) << lol::to_string(b) << ": "
+                            << exact.first_error();
+      EXPECT_FALSE(exact.step_limited) << lol::to_string(b);
+      EXPECT_EQ(exact.pe_output, base.pe_output) << lol::to_string(b);
+      RunResult tight = run_backend(prog, b, 1, steps - 1);
+      EXPECT_FALSE(tight.ok) << lol::to_string(b);
+      EXPECT_TRUE(tight.step_limited)
+          << lol::to_string(b) << " ran past a budget one below exact";
+    }
   }
 }
 
@@ -234,7 +389,11 @@ TEST(JitSpec, RecordedScheduleReplaysAcrossTiers) {
   if (!lol::codegen::jit_available()) GTEST_SKIP() << "jit unavailable";
   // Symmetric stores are schedule-yield token events even when they run
   // specialized; a schedule recorded under the JIT must replay exactly
-  // under both the VM and the JIT.
+  // under both the VM and the JIT. Level 0 keeps the 4-trip loops (and
+  // with them the specialized symmetric stores) from being unrolled into
+  // code that runs only once.
+  lol::CompileOptions copts;
+  copts.opt_level = 0;
   auto prog = lol::compile(
       "HAI 1.2\n"
       "I HAS A spec_replay_salt ITZ \"trace\"\n"
@@ -253,7 +412,8 @@ TEST(JitSpec, RecordedScheduleReplaysAcrossTiers) {
       "  TXT MAH BFF nxt, total R SUM OF total AN UR ring'Z i\n"
       "IM OUTTA YR gather\n"
       "VISIBLE \"PE \" ME \" TOTAL \" total\n"
-      "KTHXBYE\n");
+      "KTHXBYE\n",
+      copts);
   RunConfig rec;
   rec.n_pes = 4;
   rec.backend = Backend::kJit;

@@ -30,8 +30,10 @@ using lol::Backend;
 using lol::RunConfig;
 using lol::RunResult;
 
-// A program with enough structure to exercise most emitted ops:
-// functions and calls, loops, conditionals. The salt rides in a string
+// A program with enough structure to exercise most VM ops — functions
+// and calls, loops, conditionals — plus a typed counting loop the JIT
+// turns into a specialized region (so it has code bytes to charge; the
+// trip count is past the unroller's budget). The salt rides in a string
 // *literal* (not a comment — comments don't survive into the bytecode
 // chunk or the emitted C), so every backend cache key derived from the
 // program is unique per test and cold-compile tests are not poisoned by
@@ -48,7 +50,11 @@ std::string salted_source(const std::string& salt) {
          "  FOUND YR n\n"
          "IF U SAY SO\n"
          "I HAS A r ITZ I IZ fib YR 10 MKAY\n"
-         "VISIBLE SMOOSH \"fib=\" AN r MKAY\n"
+         "I HAS A acc ITZ A NUMBR AN ITZ 0\n"
+         "IM IN YR l UPPIN YR i TIL BOTH SAEM i AN 100\n"
+         "  acc R SUM OF acc AN i\n"
+         "IM OUTTA YR l\n"
+         "VISIBLE SMOOSH \"fib=\" AN r AN \" acc=\" AN acc MKAY\n"
          "KTHXBYE\n";
 }
 
@@ -261,51 +267,6 @@ TEST(Jit, CompileCacheRechargesJitCodeBytes) {
   cache.recharge(source);
   EXPECT_EQ(cache.resident_bytes(),
             charged + compiled.program->jit_code_bytes());
-}
-
-// The typed kBinary fast path inlines integer/double arithmetic when the
-// emitter proves both operands' types from SRSLY declarations. Parity
-// must hold not just on output but on step *accounting*: the prep
-// charges exactly the one step the generic helper would, so at every
-// budget the two backends agree on whether the run step-limits.
-TEST(Jit, TypedArithmeticFastPathMatchesVmStepsExactly) {
-  if (!lol::codegen::jit_available()) GTEST_SKIP() << "jit unavailable";
-  const std::string src =
-      "HAI 1.2\n"
-      "I HAS A salt ITZ \"binfast\"\n"
-      "I HAS A s ITZ SRSLY A NUMBR AN ITZ 1\n"
-      "I HAS A f ITZ SRSLY A NUMBAR AN ITZ 1.5\n"
-      "IM IN YR lp UPPIN YR i TIL BOTH SAEM i AN 20\n"
-      "  s R SUM OF s AN 3\n"
-      "  s R PRODUKT OF s AN 2\n"
-      "  s R SMALLR OF s AN 100000\n"
-      "  s R BIGGR OF s AN 7\n"
-      "  s R DIFF OF s AN 1\n"
-      "  f R SUM OF f AN 0.25\n"
-      "  f R PRODUKT OF f AN 1.01\n"
-      "  f R DIFF OF f AN 0.125\n"
-      "IM OUTTA YR lp\n"
-      "VISIBLE SMOOSH s AN \" \" AN f MKAY\n"
-      "KTHXBYE\n";
-  // Level 0 keeps the loop (and its typed kBinary ops) in the bytecode
-  // instead of letting the optimizer fold the whole thing.
-  lol::CompileOptions copts;
-  copts.opt_level = 0;
-  auto prog = lol::compile(src, copts);
-
-  for (std::uint64_t budget : {40u, 120u, 400u, 0u}) {
-    RunConfig cfg;
-    cfg.n_pes = 2;
-    cfg.max_steps = budget;
-    cfg.backend = Backend::kVm;
-    RunResult vm = lol::run(prog, cfg);
-    cfg.backend = Backend::kJit;
-    RunResult jit = lol::run(prog, cfg);
-    EXPECT_EQ(jit.ok, vm.ok) << "budget " << budget;
-    EXPECT_EQ(jit.step_limited, vm.step_limited) << "budget " << budget;
-    EXPECT_EQ(jit.pe_output, vm.pe_output) << "budget " << budget;
-    EXPECT_EQ(jit.pe_errout, vm.pe_errout) << "budget " << budget;
-  }
 }
 
 }  // namespace

@@ -29,7 +29,7 @@ int usage(const char* prog) {
       "usage: %s [options] <program.lol>\n"
       "  -np <N>            number of PEs (default 1, max 4096)\n"
       "  --backend <b>      vm (default), interp, native (host cc + dlopen),\n"
-      "                     or jit (direct x86-64; falls back to native)\n"
+      "                     or jit (vm + x86-64 regions; plain vm elsewhere)\n"
       "  --executor <e>     thread (default), pool, or fiber — fiber\n"
       "                     multiplexes many virtual PEs per core, so -np\n"
       "                     can go far beyond the host's hardware threads\n"
