@@ -75,14 +75,12 @@ CompiledProgram compile(std::string_view source, const CompileOptions& opts) {
   out.program = parse::parse_program(source);
   // Sema first, on the raw AST: invalid programs throw the same
   // diagnostic at every opt level, and the passes may assume validity.
+  // The passes keep every node the Analysis borrows, so it stays valid.
   out.analysis = sema::analyze(out.program);
   if (opts.opt_level > 0) {
     opt::Options oo;
     oo.level = opts.opt_level;
-    oo.unroll_max_trip = opts.unroll_max_trip;
     opt::optimize(out.program, oo);
-    // Analysis borrows AST nodes the passes may have replaced.
-    out.analysis = sema::analyze(out.program);
   }
   out.native_slot = std::make_shared<codegen::NativeSlot>();
   out.vm_slot = std::make_shared<vm::VmSlot>();

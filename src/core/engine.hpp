@@ -64,12 +64,14 @@ enum class Backend {
 [[nodiscard]] std::optional<Backend> backend_from_name(std::string_view name);
 
 /// Front-end configuration for compile(). Level 0 runs the raw AST,
-/// level 1 runs the folding passes, level 2 (the default everywhere)
-/// adds the loop pipeline — see opt/opt.hpp. All levels are observably
+/// level 1 runs fold/prop/dce, level 2 (the default everywhere) adds
+/// fuse/licm/strength — see opt/opt.hpp. All levels are observably
 /// equivalent per PE except step *counts* near a max_steps edge.
 struct CompileOptions {
   int opt_level = 2;
-  int unroll_max_trip = 16;  // forwarded to opt::Options
+  // Read by nothing; kept only because perfbench/src/main.cpp still
+  // assigns it.
+  int unroll_max_trip = 16;
 };
 
 /// A compiled (parsed + analyzed) program. Movable; the analysis borrows

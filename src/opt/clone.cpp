@@ -9,8 +9,6 @@ using namespace ast;
 
 namespace {
 
-ExprPtr clone_opt(const ExprPtr& e) { return e ? clone_expr(*e) : nullptr; }
-
 std::vector<ExprPtr> clone_exprs(const std::vector<ExprPtr>& v) {
   std::vector<ExprPtr> out;
   out.reserve(v.size());
@@ -87,125 +85,6 @@ ExprPtr clone_expr(const Expr& e) {
     }
   }
   return nullptr;  // unreachable
-}
-
-StmtPtr clone_stmt(const Stmt& s) {
-  switch (s.kind) {
-    case StmtKind::kVarDecl: {
-      const auto& d = static_cast<const VarDeclStmt&>(s);
-      auto out = std::make_unique<VarDeclStmt>(d.loc);
-      out->scope = d.scope;
-      out->name = d.name;
-      out->declared_type = d.declared_type;
-      out->srsly = d.srsly;
-      out->is_array = d.is_array;
-      out->array_size = clone_opt(d.array_size);
-      out->init = clone_opt(d.init);
-      out->sharin = d.sharin;
-      return out;
-    }
-    case StmtKind::kAssign: {
-      const auto& a = static_cast<const AssignStmt&>(s);
-      return std::make_unique<AssignStmt>(clone_expr(*a.target),
-                                          clone_expr(*a.value), a.loc);
-    }
-    case StmtKind::kExpr: {
-      const auto& x = static_cast<const ExprStmt&>(s);
-      return std::make_unique<ExprStmt>(clone_expr(*x.expr), x.loc);
-    }
-    case StmtKind::kVisible: {
-      const auto& v = static_cast<const VisibleStmt&>(s);
-      auto out = std::make_unique<VisibleStmt>(v.loc);
-      out->args = clone_exprs(v.args);
-      out->newline = v.newline;
-      out->to_stderr = v.to_stderr;
-      return out;
-    }
-    case StmtKind::kGimmeh: {
-      const auto& g = static_cast<const GimmehStmt&>(s);
-      return std::make_unique<GimmehStmt>(clone_expr(*g.target), g.loc);
-    }
-    case StmtKind::kCastTo: {
-      const auto& c = static_cast<const CastToStmt&>(s);
-      return std::make_unique<CastToStmt>(clone_expr(*c.target), c.type,
-                                          c.loc);
-    }
-    case StmtKind::kORly: {
-      const auto& o = static_cast<const ORlyStmt&>(s);
-      auto out = std::make_unique<ORlyStmt>(o.loc);
-      out->ya_rly = clone_body(o.ya_rly);
-      for (const auto& [cond, body] : o.mebbe) {
-        out->mebbe.emplace_back(clone_expr(*cond), clone_body(body));
-      }
-      out->no_wai = clone_body(o.no_wai);
-      return out;
-    }
-    case StmtKind::kWtf: {
-      const auto& w = static_cast<const WtfStmt&>(s);
-      auto out = std::make_unique<WtfStmt>(w.loc);
-      for (const auto& c : w.cases) {
-        WtfStmt::Case cc;
-        cc.literal = clone_expr(*c.literal);
-        cc.body = clone_body(c.body);
-        out->cases.push_back(std::move(cc));
-      }
-      out->default_body = clone_body(w.default_body);
-      out->has_default = w.has_default;
-      return out;
-    }
-    case StmtKind::kLoop: {
-      const auto& l = static_cast<const LoopStmt&>(s);
-      auto out = std::make_unique<LoopStmt>(l.loc);
-      out->label = l.label;
-      out->update = l.update;
-      out->func = l.func;
-      out->var = l.var;
-      out->cond_kind = l.cond_kind;
-      out->cond = clone_opt(l.cond);
-      out->body = clone_body(l.body);
-      return out;
-    }
-    case StmtKind::kGtfo:
-      return std::make_unique<GtfoStmt>(s.loc);
-    case StmtKind::kFoundYr: {
-      const auto& f = static_cast<const FoundYrStmt&>(s);
-      return std::make_unique<FoundYrStmt>(clone_expr(*f.value), f.loc);
-    }
-    case StmtKind::kFuncDef: {
-      const auto& f = static_cast<const FuncDefStmt&>(s);
-      auto out = std::make_unique<FuncDefStmt>(f.loc);
-      out->name = f.name;
-      out->params = f.params;
-      out->body = clone_body(f.body);
-      return out;
-    }
-    case StmtKind::kCanHas: {
-      const auto& c = static_cast<const CanHasStmt&>(s);
-      return std::make_unique<CanHasStmt>(c.library, c.loc);
-    }
-    case StmtKind::kHugz:
-      return std::make_unique<HugzStmt>(s.loc);
-    case StmtKind::kLock: {
-      const auto& l = static_cast<const LockStmt&>(s);
-      return std::make_unique<LockStmt>(l.op, clone_expr(*l.target), l.loc);
-    }
-    case StmtKind::kTxt: {
-      const auto& t = static_cast<const TxtStmt&>(s);
-      auto out = std::make_unique<TxtStmt>(t.loc);
-      out->target_pe = clone_expr(*t.target_pe);
-      out->body = clone_body(t.body);
-      out->block_form = t.block_form;
-      return out;
-    }
-  }
-  return nullptr;  // unreachable
-}
-
-StmtList clone_body(const StmtList& body) {
-  StmtList out;
-  out.reserve(body.size());
-  for (const auto& s : body) out.push_back(clone_stmt(*s));
-  return out;
 }
 
 }  // namespace lol::opt

@@ -1,9 +1,9 @@
-// Deep-cloning of AST subtrees.
+// Deep-cloning of AST expressions.
 //
 // AST nodes own their children through unique_ptr and are deliberately
 // non-copyable; the optimizer is the one consumer that needs structural
-// copies (loop unrolling duplicates bodies, propagation duplicates
-// literal initializers). Clones preserve source locations so diagnostics
+// copies (loop-invariant code motion keeps the hoisted expression's
+// initializer as a copy). Clones preserve source locations so diagnostics
 // from optimized programs still point at the original text.
 #pragma once
 
@@ -12,7 +12,5 @@
 namespace lol::opt {
 
 [[nodiscard]] ast::ExprPtr clone_expr(const ast::Expr& e);
-[[nodiscard]] ast::StmtPtr clone_stmt(const ast::Stmt& s);
-[[nodiscard]] ast::StmtList clone_body(const ast::StmtList& body);
 
 }  // namespace lol::opt

@@ -108,44 +108,6 @@ std::size_t count_expr_nodes(const Expr& e) {
   return n;
 }
 
-std::size_t count_stmts(const StmtList& body);
-
-std::size_t count_stmts(const Stmt& s) {
-  std::size_t n = 1;
-  switch (s.kind) {
-    case StmtKind::kORly: {
-      const auto& o = static_cast<const ORlyStmt&>(s);
-      n += count_stmts(o.ya_rly) + count_stmts(o.no_wai);
-      for (const auto& [cond, body] : o.mebbe) n += count_stmts(body);
-      break;
-    }
-    case StmtKind::kWtf: {
-      const auto& w = static_cast<const WtfStmt&>(s);
-      for (const auto& c : w.cases) n += count_stmts(c.body);
-      n += count_stmts(w.default_body);
-      break;
-    }
-    case StmtKind::kLoop:
-      n += count_stmts(static_cast<const LoopStmt&>(s).body);
-      break;
-    case StmtKind::kFuncDef:
-      n += count_stmts(static_cast<const FuncDefStmt&>(s).body);
-      break;
-    case StmtKind::kTxt:
-      n += count_stmts(static_cast<const TxtStmt&>(s).body);
-      break;
-    default:
-      break;
-  }
-  return n;
-}
-
-std::size_t count_stmts(const StmtList& body) {
-  std::size_t n = 0;
-  for (const auto& s : body) n += count_stmts(*s);
-  return n;
-}
-
 // ---------------------------------------------------------------------------
 // Census: one structural walk collecting the name facts every pass needs
 // ---------------------------------------------------------------------------
@@ -1021,723 +983,14 @@ struct Prop {
 };
 
 // ---------------------------------------------------------------------------
-// Pass: bounded loop unrolling
-// ---------------------------------------------------------------------------
-
-struct Unroll {
-  Census& census;  // identifiers grows as fresh names are taken
-  const Options& opts;
-  Stats& st;
-  std::uint64_t changed = 0;
-  int fresh_n = 0;
-
-  std::string fresh(const std::string& base) {
-    for (;;) {
-      std::string name = base + "_u" + std::to_string(fresh_n++);
-      if (census.identifiers.insert(name).second) return name;
-    }
-  }
-
-  void run(StmtList& body) {
-    if (census.has_srs || opts.unroll_max_trip <= 0) return;
-    walk(body);
-  }
-
-  void walk(StmtList& body) {
-    for (std::size_t i = 0; i < body.size(); ++i) {
-      // Innermost-first: a fully unrolled inner loop makes the outer
-      // body straight-line and often still under budget.
-      for_each_child_list(*body[i], [&](StmtList& b) { walk(b); });
-      if (body[i]->kind != StmtKind::kLoop) continue;
-      auto& loop = static_cast<LoopStmt&>(*body[i]);
-      std::optional<StmtList> copies = try_unroll(loop);
-      if (!copies) continue;
-      std::size_t n = copies->size();
-      body.erase(body.begin() + static_cast<std::ptrdiff_t>(i));
-      body.insert(body.begin() + static_cast<std::ptrdiff_t>(i),
-                  std::make_move_iterator(copies->begin()),
-                  std::make_move_iterator(copies->end()));
-      ++st.unrolled;
-      ++changed;
-      i += n == 0 ? 0 : n - 1;
-    }
-  }
-
-  /// `IM IN YR l UPPIN YR v TIL BOTH SAEM v AN <k>` runs the body for
-  /// v = 0..k-1; the WILE DIFFRINT form is equivalent.
-  std::optional<std::int64_t> trip_count(const LoopStmt& l) const {
-    if (l.update != LoopUpdate::kUppin || l.var.empty() || !l.cond) {
-      return std::nullopt;
-    }
-    if (l.cond->kind != ExprKind::kBinary) return std::nullopt;
-    const auto& c = static_cast<const BinaryExpr&>(*l.cond);
-    BinOp want = l.cond_kind == LoopCond::kTil    ? BinOp::kBothSaem
-                 : l.cond_kind == LoopCond::kWile ? BinOp::kDiffrint
-                                                  : BinOp::kBothOf;
-    if (c.op != want) return std::nullopt;
-    auto counter_and_lit =
-        [&](const Expr& a, const Expr& b) -> std::optional<std::int64_t> {
-      if (a.kind != ExprKind::kVarRef || b.kind != ExprKind::kNumbrLit) {
-        return std::nullopt;
-      }
-      const auto& r = static_cast<const VarRef&>(a);
-      if (r.name != l.var || r.locality == Locality::kRemote) {
-        return std::nullopt;
-      }
-      return static_cast<const NumbrLit&>(b).value;
-    };
-    auto n = counter_and_lit(*c.lhs, *c.rhs);
-    if (!n) n = counter_and_lit(*c.rhs, *c.lhs);
-    return n;
-  }
-
-  std::optional<StmtList> try_unroll(LoopStmt& loop) {
-    auto trip = trip_count(loop);
-    if (!trip || *trip < 0 || *trip > opts.unroll_max_trip) {
-      return std::nullopt;
-    }
-    if (*trip == 0) return StmtList{};  // condition true before iteration 0
-    if (!body_safe(loop.body, loop.var, /*gtfo_would_bind=*/true)) {
-      return std::nullopt;
-    }
-    std::size_t body_n = count_stmts(loop.body);
-    if (body_n * static_cast<std::size_t>(*trip) >
-        static_cast<std::size_t>(opts.unroll_body_budget)) {
-      return std::nullopt;
-    }
-    StmtList out;
-    for (std::int64_t k = 0; k < *trip; ++k) {
-      Rename rc{this, loop.var, k};
-      rc.scopes.emplace_back();
-      for (const auto& s : loop.body) out.push_back(rc.stmt(*s));
-    }
-    return out;
-  }
-
-  /// Rejects bodies the unroller cannot reproduce exactly: a GTFO that
-  /// would bind this loop (the copies have no loop to break), any write
-  /// to or shadowing of the counter, the counter as an interpolation
-  /// segment or an index base, and remote reads of the counter.
-  bool body_safe(const StmtList& body, const std::string& var,
-                 bool gtfo_would_bind) const {
-    for (const auto& sp : body) {
-      const Stmt& s = *sp;
-      bool ok = true;
-      switch (s.kind) {
-        case StmtKind::kGtfo:
-          if (gtfo_would_bind) return false;
-          break;
-        case StmtKind::kVarDecl: {
-          const auto& d = static_cast<const VarDeclStmt&>(s);
-          if (d.name == var) return false;
-          if (d.init && !expr_safe(*d.init, var)) return false;
-          if (d.array_size && !expr_safe(*d.array_size, var)) return false;
-          break;
-        }
-        case StmtKind::kAssign: {
-          const auto& a = static_cast<const AssignStmt&>(s);
-          const std::string* base = place_base_name(*a.target);
-          if (base != nullptr && *base == var) return false;
-          ok = expr_safe(*a.target, var) && expr_safe(*a.value, var);
-          break;
-        }
-        case StmtKind::kGimmeh: {
-          const auto& g = static_cast<const GimmehStmt&>(s);
-          const std::string* base = place_base_name(*g.target);
-          if (base != nullptr && *base == var) return false;
-          ok = expr_safe(*g.target, var);
-          break;
-        }
-        case StmtKind::kCastTo: {
-          const auto& ct = static_cast<const CastToStmt&>(s);
-          const std::string* base = place_base_name(*ct.target);
-          if (base != nullptr && *base == var) return false;
-          ok = expr_safe(*ct.target, var);
-          break;
-        }
-        case StmtKind::kLock: {
-          const auto& l = static_cast<const LockStmt&>(s);
-          const std::string* base = place_base_name(*l.target);
-          if (base != nullptr && *base == var) return false;
-          ok = expr_safe(*l.target, var);
-          break;
-        }
-        case StmtKind::kExpr:
-          ok = expr_safe(*static_cast<const ExprStmt&>(s).expr, var);
-          break;
-        case StmtKind::kVisible:
-          for (const auto& a : static_cast<const VisibleStmt&>(s).args) {
-            if (!expr_safe(*a, var)) return false;
-          }
-          break;
-        case StmtKind::kORly: {
-          const auto& o = static_cast<const ORlyStmt&>(s);
-          // O RLY? is not breakable: GTFO in a branch binds the loop.
-          if (!body_safe(o.ya_rly, var, gtfo_would_bind)) return false;
-          for (const auto& [cond, b] : o.mebbe) {
-            if (!expr_safe(*cond, var)) return false;
-            if (!body_safe(b, var, gtfo_would_bind)) return false;
-          }
-          if (!body_safe(o.no_wai, var, gtfo_would_bind)) return false;
-          break;
-        }
-        case StmtKind::kWtf: {
-          const auto& w = static_cast<const WtfStmt&>(s);
-          for (const auto& cs : w.cases) {
-            if (!expr_safe(*cs.literal, var)) return false;
-            if (!body_safe(cs.body, var, /*gtfo_would_bind=*/false)) {
-              return false;
-            }
-          }
-          if (!body_safe(w.default_body, var, false)) return false;
-          break;
-        }
-        case StmtKind::kLoop: {
-          const auto& l = static_cast<const LoopStmt&>(s);
-          if (l.var == var) return false;  // shadows the counter
-          if (l.cond && !expr_safe(*l.cond, var)) return false;
-          if (!body_safe(l.body, var, /*gtfo_would_bind=*/false)) {
-            return false;
-          }
-          break;
-        }
-        case StmtKind::kFoundYr:
-          // Returning from the enclosing function mid-copy is the same
-          // as returning mid-iteration.
-          ok = expr_safe(*static_cast<const FoundYrStmt&>(s).value, var);
-          break;
-        case StmtKind::kTxt: {
-          const auto& t = static_cast<const TxtStmt&>(s);
-          ok = expr_safe(*t.target_pe, var) &&
-               body_safe(t.body, var, gtfo_would_bind);
-          break;
-        }
-        case StmtKind::kFuncDef:
-          return false;  // sema forbids these here; stay conservative
-        case StmtKind::kCanHas:
-        case StmtKind::kHugz:
-          break;
-      }
-      if (!ok) return false;
-    }
-    return true;
-  }
-
-  bool expr_safe(const Expr& e, const std::string& var) const {
-    switch (e.kind) {
-      case ExprKind::kYarnLit:
-        for (const auto& seg :
-             static_cast<const YarnLit&>(e).segments) {
-          if (seg.is_var && seg.text == var) return false;
-        }
-        return true;
-      case ExprKind::kVarRef:
-        return static_cast<const VarRef&>(e).name != var ||
-               static_cast<const VarRef&>(e).locality != Locality::kRemote;
-      case ExprKind::kIndex: {
-        const auto& i = static_cast<const IndexExpr&>(e);
-        const std::string* base = place_base_name(e);
-        if (base != nullptr && *base == var) return false;
-        return expr_safe(*i.base, var) && expr_safe(*i.index, var);
-      }
-      case ExprKind::kSrsRef:
-        return false;  // unreachable: has_srs disables the pass
-      case ExprKind::kBinary: {
-        const auto& b = static_cast<const BinaryExpr&>(e);
-        return expr_safe(*b.lhs, var) && expr_safe(*b.rhs, var);
-      }
-      case ExprKind::kNary:
-        for (const auto& o : static_cast<const NaryExpr&>(e).operands) {
-          if (!expr_safe(*o, var)) return false;
-        }
-        return true;
-      case ExprKind::kUnary:
-        return expr_safe(*static_cast<const UnaryExpr&>(e).operand, var);
-      case ExprKind::kCast:
-        return expr_safe(*static_cast<const CastExpr&>(e).value, var);
-      case ExprKind::kCall:
-        for (const auto& a : static_cast<const CallExpr&>(e).args) {
-          if (!expr_safe(*a, var)) return false;
-        }
-        return true;
-      default:
-        return true;
-    }
-  }
-
-  /// Scope-aware cloning of one iteration: the counter becomes its
-  /// literal value, and every declaration the body makes gets a fresh
-  /// name (N spliced copies share one scope, so per-iteration locals
-  /// would otherwise redeclare).
-  struct Rename {
-    Unroll* u;
-    const std::string& counter;
-    std::int64_t value;
-    // name -> replacement; a name mapped to itself is shadowed by a
-    // nested loop variable and must not be renamed inside it.
-    std::vector<std::unordered_map<std::string, std::string>> scopes;
-
-    const std::string* lookup(const std::string& name) const {
-      for (auto it = scopes.rbegin(); it != scopes.rend(); ++it) {
-        auto hit = it->find(name);
-        if (hit != it->end()) return &hit->second;
-      }
-      return nullptr;
-    }
-
-    bool counter_visible(const std::string& name) const {
-      return name == counter && lookup(name) == nullptr;
-    }
-
-    ExprPtr expr(const Expr& e) {
-      switch (e.kind) {
-        case ExprKind::kVarRef: {
-          const auto& r = static_cast<const VarRef&>(e);
-          if (counter_visible(r.name)) {
-            return std::make_unique<NumbrLit>(value, r.loc);
-          }
-          if (const std::string* n = lookup(r.name)) {
-            return std::make_unique<VarRef>(*n, r.locality, r.loc);
-          }
-          return std::make_unique<VarRef>(r.name, r.locality, r.loc);
-        }
-        case ExprKind::kYarnLit: {
-          const auto& y = static_cast<const YarnLit&>(e);
-          std::vector<lex::YarnSegment> segs = y.segments;
-          for (auto& seg : segs) {
-            if (!seg.is_var) continue;
-            if (const std::string* n = lookup(seg.text)) seg.text = *n;
-          }
-          return std::make_unique<YarnLit>(std::move(segs), y.loc);
-        }
-        case ExprKind::kIndex: {
-          const auto& i = static_cast<const IndexExpr&>(e);
-          return std::make_unique<IndexExpr>(expr(*i.base),
-                                             expr(*i.index), i.loc);
-        }
-        case ExprKind::kBinary: {
-          const auto& b = static_cast<const BinaryExpr&>(e);
-          return std::make_unique<BinaryExpr>(b.op, expr(*b.lhs),
-                                              expr(*b.rhs), b.loc);
-        }
-        case ExprKind::kNary: {
-          const auto& n = static_cast<const NaryExpr&>(e);
-          std::vector<ExprPtr> ops;
-          ops.reserve(n.operands.size());
-          for (const auto& o : n.operands) ops.push_back(expr(*o));
-          return std::make_unique<NaryExpr>(n.op, std::move(ops), n.loc);
-        }
-        case ExprKind::kUnary: {
-          const auto& un = static_cast<const UnaryExpr&>(e);
-          return std::make_unique<UnaryExpr>(un.op, expr(*un.operand),
-                                             un.loc);
-        }
-        case ExprKind::kCast: {
-          const auto& c = static_cast<const CastExpr&>(e);
-          return std::make_unique<CastExpr>(expr(*c.value), c.type, c.loc);
-        }
-        case ExprKind::kCall: {
-          const auto& c = static_cast<const CallExpr&>(e);
-          std::vector<ExprPtr> args;
-          args.reserve(c.args.size());
-          for (const auto& a : c.args) args.push_back(expr(*a));
-          return std::make_unique<CallExpr>(c.callee, std::move(args),
-                                            c.loc);
-        }
-        default:
-          return clone_expr(e);  // literals, ME, IT, WHATEVR, ...
-      }
-    }
-
-    StmtList body(const StmtList& b) {
-      scopes.emplace_back();
-      StmtList out;
-      out.reserve(b.size());
-      for (const auto& s : b) out.push_back(stmt(*s));
-      scopes.pop_back();
-      return out;
-    }
-
-    StmtPtr stmt(const Stmt& s) {
-      switch (s.kind) {
-        case StmtKind::kVarDecl: {
-          const auto& d = static_cast<const VarDeclStmt&>(s);
-          auto out = std::make_unique<VarDeclStmt>(d.loc);
-          out->scope = d.scope;
-          out->declared_type = d.declared_type;
-          out->srsly = d.srsly;
-          out->is_array = d.is_array;
-          out->sharin = d.sharin;
-          if (d.init) out->init = expr(*d.init);
-          if (d.array_size) out->array_size = expr(*d.array_size);
-          std::string renamed = u->fresh(d.name);
-          scopes.back()[d.name] = renamed;
-          out->name = std::move(renamed);
-          return out;
-        }
-        case StmtKind::kAssign: {
-          const auto& a = static_cast<const AssignStmt&>(s);
-          return std::make_unique<AssignStmt>(expr(*a.target),
-                                              expr(*a.value), a.loc);
-        }
-        case StmtKind::kExpr: {
-          const auto& x = static_cast<const ExprStmt&>(s);
-          return std::make_unique<ExprStmt>(expr(*x.expr), x.loc);
-        }
-        case StmtKind::kVisible: {
-          const auto& v = static_cast<const VisibleStmt&>(s);
-          auto out = std::make_unique<VisibleStmt>(v.loc);
-          for (const auto& a : v.args) out->args.push_back(expr(*a));
-          out->newline = v.newline;
-          out->to_stderr = v.to_stderr;
-          return out;
-        }
-        case StmtKind::kGimmeh: {
-          const auto& g = static_cast<const GimmehStmt&>(s);
-          return std::make_unique<GimmehStmt>(expr(*g.target), g.loc);
-        }
-        case StmtKind::kCastTo: {
-          const auto& c = static_cast<const CastToStmt&>(s);
-          return std::make_unique<CastToStmt>(expr(*c.target), c.type,
-                                              c.loc);
-        }
-        case StmtKind::kORly: {
-          const auto& o = static_cast<const ORlyStmt&>(s);
-          auto out = std::make_unique<ORlyStmt>(o.loc);
-          out->ya_rly = body(o.ya_rly);
-          for (const auto& [cond, b] : o.mebbe) {
-            auto cc = expr(*cond);
-            out->mebbe.emplace_back(std::move(cc), body(b));
-          }
-          out->no_wai = body(o.no_wai);
-          return out;
-        }
-        case StmtKind::kWtf: {
-          const auto& w = static_cast<const WtfStmt&>(s);
-          auto out = std::make_unique<WtfStmt>(w.loc);
-          for (const auto& cs : w.cases) {
-            WtfStmt::Case cc;
-            cc.literal = expr(*cs.literal);
-            cc.body = body(cs.body);
-            out->cases.push_back(std::move(cc));
-          }
-          out->default_body = body(w.default_body);
-          out->has_default = w.has_default;
-          return out;
-        }
-        case StmtKind::kLoop: {
-          const auto& l = static_cast<const LoopStmt&>(s);
-          auto out = std::make_unique<LoopStmt>(l.loc);
-          out->label = l.label;
-          out->update = l.update;
-          out->func = l.func;
-          out->var = l.var;
-          out->cond_kind = l.cond_kind;
-          scopes.emplace_back();
-          if (!l.var.empty()) scopes.back()[l.var] = l.var;  // shadow
-          if (l.cond) out->cond = expr(*l.cond);
-          out->body = body(l.body);
-          scopes.pop_back();
-          return out;
-        }
-        case StmtKind::kFoundYr: {
-          const auto& f = static_cast<const FoundYrStmt&>(s);
-          return std::make_unique<FoundYrStmt>(expr(*f.value), f.loc);
-        }
-        case StmtKind::kLock: {
-          const auto& l = static_cast<const LockStmt&>(s);
-          return std::make_unique<LockStmt>(l.op, expr(*l.target), l.loc);
-        }
-        case StmtKind::kTxt: {
-          const auto& t = static_cast<const TxtStmt&>(s);
-          auto out = std::make_unique<TxtStmt>(t.loc);
-          out->target_pe = expr(*t.target_pe);
-          out->body = body(t.body);
-          out->block_form = t.block_form;
-          return out;
-        }
-        default:
-          return clone_stmt(s);  // GTFO (nested-bound), HUGZ, CAN HAS
-      }
-    }
-  };
-};
-
-// ---------------------------------------------------------------------------
-// Pass: static branch selection
-// ---------------------------------------------------------------------------
-
-struct Select {
-  const Census& census;
-  Stats& st;
-  std::uint64_t changed = 0;
-
-  void run(StmtList& body) {
-    if (census.has_srs) return;
-    walk(body);
-  }
-
-  void walk(StmtList& body) {
-    for (std::size_t i = 0; i < body.size(); ++i) {
-      for_each_child_list(*body[i], [&](StmtList& b) { walk(b); });
-      if (i + 1 >= body.size()) continue;
-      if (body[i]->kind != StmtKind::kExpr ||
-          body[i + 1]->kind != StmtKind::kORly) {
-        continue;
-      }
-      auto lit = literal_of(*static_cast<const ExprStmt&>(*body[i]).expr);
-      if (!lit) continue;
-      auto& orly = static_cast<ORlyStmt&>(*body[i + 1]);
-      // MEBBE arms evaluate their condition into IT when YA RLY is not
-      // taken; splicing would lose that. Keep those as-is.
-      if (!orly.mebbe.empty()) continue;
-      if (!spliceable(orly.ya_rly) || !spliceable(orly.no_wai)) continue;
-      StmtList chosen =
-          std::move(lit->to_troof() ? orly.ya_rly : orly.no_wai);
-      // The literal ExprStmt stays: IT must still hold its value.
-      body.erase(body.begin() + static_cast<std::ptrdiff_t>(i) + 1);
-      body.insert(body.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                  std::make_move_iterator(chosen.begin()),
-                  std::make_move_iterator(chosen.end()));
-      ++st.selected;
-      ++changed;
-      // Re-inspect from the first spliced statement (it may itself be a
-      // literal ExprStmt followed by an O RLY?).
-    }
-  }
-
-  /// Both the kept and the dropped branch must splice safely: no
-  /// declarations (the interpreter scopes branches, the VM does not, so
-  /// renamed or leaked locals would diverge), and every name the
-  /// dropped code references must be declared somewhere in the program
-  /// (the C emitter resolves dead code statically at -O0 too).
-  bool spliceable(const StmtList& body) const {
-    for (const auto& sp : body) {
-      if (!spliceable_stmt(*sp)) return false;
-    }
-    return true;
-  }
-
-  bool spliceable_stmt(const Stmt& s) const {
-    if (s.kind == StmtKind::kVarDecl || s.kind == StmtKind::kFuncDef) {
-      return false;
-    }
-    // One-off census of this subtree: no declarations at any depth, no
-    // SRS, and every referenced name declared somewhere in the program.
-    Census sub;
-    census_stmt(s, sub);
-    if (sub.has_srs || !sub.decl_count.empty()) return false;
-    for (const auto& [name, n] : sub.ref_count) {
-      (void)n;
-      if (census.decl_count.count(name) == 0) return false;
-    }
-    return true;
-  }
-};
-
-// ---------------------------------------------------------------------------
-// Pass: predication-region coalescing
-//
-// An unrolled remote-interaction loop leaves a run of TXT MAH BFF
-// regions with the same target in one statement list, separated by
-// purely local statements. Each region entry evaluates and range-checks
-// the target and opens a child scope; coalescing the run into one
-// region does that once. Safe exactly when (a) the target expression is
-// a literal, ME, or a local variable no statement in the merged span
-// mutates — so the dropped re-evaluations provably yield the same PE —
-// and (b) every absorbed statement is local and scope-neutral: no
-// declarations anywhere in the span (region bodies are scopes; merging
-// must not extend a name's visibility), no calls (a callee's UR refs
-// would start resolving against the region's target instead of
-// throwing), and no UR refs in the statements between regions (they
-// would stop throwing). Statements keep their order, so every read and
-// write — including the remote ones — happens exactly as before.
-// ---------------------------------------------------------------------------
-
-struct RegionMerge {
-  const Census& census;
-  Stats& st;
-  std::uint64_t changed = 0;
-
-  void run(StmtList& body) {
-    if (census.has_srs) return;
-    walk(body);
-  }
-
-  void walk(StmtList& body) {
-    for (auto& s : body) {
-      for_each_child_list(*s, [&](StmtList& b) { walk(b); });
-    }
-    for (std::size_t i = 0; i < body.size(); ++i) {
-      if (body[i]->kind != StmtKind::kTxt) continue;
-      auto& first = static_cast<TxtStmt&>(*body[i]);
-      // Keep absorbing [locals..., TXT same-target {...}] suffixes.
-      while (true) {
-        std::size_t k = i + 1;
-        while (k < body.size() && absorbable(*body[k])) ++k;
-        if (k >= body.size() || body[k]->kind != StmtKind::kTxt) break;
-        auto& next = static_cast<TxtStmt&>(*body[k]);
-        if (!same_target(*first.target_pe, *next.target_pe)) break;
-        if (!span_safe(first, body, i + 1, k, next)) break;
-        for (std::size_t j = i + 1; j < k; ++j) {
-          first.body.push_back(std::move(body[j]));
-        }
-        for (auto& s : next.body) first.body.push_back(std::move(s));
-        body.erase(body.begin() + static_cast<std::ptrdiff_t>(i) + 1,
-                   body.begin() + static_cast<std::ptrdiff_t>(k) + 1);
-        ++st.merged;
-        ++changed;
-      }
-    }
-  }
-
-  /// Statement kinds that may move into a region: straight-line local
-  /// statements only. Their expressions are vetted in span_safe.
-  [[nodiscard]] static bool absorbable(const Stmt& s) {
-    switch (s.kind) {
-      case StmtKind::kAssign:
-      case StmtKind::kExpr:
-      case StmtKind::kVisible:
-      case StmtKind::kCastTo:
-        return true;
-      default:
-        return false;
-    }
-  }
-
-  [[nodiscard]] static bool same_target(const Expr& a, const Expr& b) {
-    if (a.kind == ExprKind::kMe && b.kind == ExprKind::kMe) return true;
-    if (a.kind == ExprKind::kVarRef && b.kind == ExprKind::kVarRef) {
-      const auto& ra = static_cast<const VarRef&>(a);
-      const auto& rb = static_cast<const VarRef&>(b);
-      return ra.locality != Locality::kRemote &&
-             rb.locality != Locality::kRemote && ra.name == rb.name;
-    }
-    auto la = literal_of(a);
-    auto lb = literal_of(b);
-    return la && lb && la->is_numbr() && lb->is_numbr() &&
-           la->numbr_raw() == lb->numbr_raw();
-  }
-
-  /// Vets the merged span: the first region's body, the statements
-  /// between, and the next region's body together declare nothing and
-  /// call nothing, the between-statements reference nothing remote, and
-  /// (for a variable target) nothing in the span mutates the target.
-  [[nodiscard]] bool span_safe(const TxtStmt& first, const StmtList& body,
-                               std::size_t lo, std::size_t hi,
-                               const TxtStmt& next) const {
-    Census span;
-    for (const auto& s : first.body) census_stmt(*s, span);
-    for (std::size_t j = lo; j < hi; ++j) {
-      census_stmt(*body[j], span);
-      if (stmt_has_remote_or_call(*body[j])) return false;
-    }
-    for (const auto& s : next.body) census_stmt(*s, span);
-    if (span.has_srs || !span.decl_count.empty()) return false;
-    for (const auto& s : first.body) {
-      if (stmt_has_call(*s)) return false;
-    }
-    for (const auto& s : next.body) {
-      if (stmt_has_call(*s)) return false;
-    }
-    if (first.target_pe->kind == ExprKind::kVarRef) {
-      const auto& name = static_cast<const VarRef&>(*first.target_pe).name;
-      if (span.mutated.count(name) != 0) return false;
-    }
-    return true;
-  }
-
-  [[nodiscard]] static bool expr_has(const Expr& e, bool remote_too) {
-    switch (e.kind) {
-      case ExprKind::kCall:
-        return true;
-      case ExprKind::kVarRef:
-        return remote_too &&
-               static_cast<const VarRef&>(e).locality == Locality::kRemote;
-      case ExprKind::kIndex: {
-        const auto& i = static_cast<const IndexExpr&>(e);
-        return expr_has(*i.base, remote_too) ||
-               expr_has(*i.index, remote_too);
-      }
-      case ExprKind::kBinary: {
-        const auto& b = static_cast<const BinaryExpr&>(e);
-        return expr_has(*b.lhs, remote_too) || expr_has(*b.rhs, remote_too);
-      }
-      case ExprKind::kNary: {
-        for (const auto& o : static_cast<const NaryExpr&>(e).operands) {
-          if (expr_has(*o, remote_too)) return true;
-        }
-        return false;
-      }
-      case ExprKind::kUnary:
-        return expr_has(*static_cast<const UnaryExpr&>(e).operand,
-                        remote_too);
-      case ExprKind::kCast:
-        return expr_has(*static_cast<const CastExpr&>(e).value, remote_too);
-      case ExprKind::kSrsRef:
-        return true;  // unreachable: the pass bails on SRS programs
-      default:
-        return false;
-    }
-  }
-
-  [[nodiscard]] static bool stmt_scan(const Stmt& s, bool remote_too) {
-    bool found = false;
-    // NOLINTNEXTLINE(cppcoreguidelines-pro-type-const-cast): read-only scan
-    for_each_rvalue(const_cast<Stmt&>(s), [&](ExprPtr& e) {
-      if (expr_has(*e, remote_too)) found = true;
-    });
-    // for_each_rvalue exposes only the index of an lvalue place; the
-    // base's locality (UR writes) must be checked directly.
-    auto place_remote = [&](const Expr& place) {
-      const Expr* base = &place;
-      if (base->kind == ExprKind::kIndex) {
-        base = static_cast<const IndexExpr&>(*base).base.get();
-      }
-      return base->kind == ExprKind::kVarRef &&
-             static_cast<const VarRef&>(*base).locality == Locality::kRemote;
-    };
-    if (remote_too) {
-      if (s.kind == StmtKind::kAssign &&
-          place_remote(*static_cast<const AssignStmt&>(s).target)) {
-        found = true;
-      }
-      if (s.kind == StmtKind::kCastTo &&
-          place_remote(*static_cast<const CastToStmt&>(s).target)) {
-        found = true;
-      }
-    }
-    return found;
-  }
-
-  [[nodiscard]] static bool stmt_has_remote_or_call(const Stmt& s) {
-    return stmt_scan(s, /*remote_too=*/true);
-  }
-
-  /// Calls anywhere in a region body (including nested statements) keep
-  /// the region un-merged; a callee's UR refs resolve dynamically.
-  [[nodiscard]] static bool stmt_has_call(const Stmt& s) {
-    if (stmt_scan(s, /*remote_too=*/false)) return true;
-    bool found = false;
-    // NOLINTNEXTLINE(cppcoreguidelines-pro-type-const-cast): read-only scan
-    for_each_child_list(const_cast<Stmt&>(s), [&](StmtList& b) {
-      for (const auto& c : b) {
-        if (stmt_has_call(*c)) found = true;
-      }
-    });
-    return found;
-  }
-};
-
-// ---------------------------------------------------------------------------
 // Pass: forward substitution of single-use scalar definitions
 //
 // `v R E1`, then (possibly after independent private assignments) the
 // self-update `v R E2(v)` with E2 reading v exactly once, fuses into
 // `v R E2(E1)`: one statement dispatch, one store and one name lookup
-// fewer per execution. Unrolled interaction kernels are full of the
-// shape (`dx R DIFF OF .. / dx R SQUAR OF dx`), and name lookups are the
-// top entry in interpreter profiles of the paper's SVI workloads.
+// fewer per execution. Interaction kernels are full of the shape
+// (`dx R DIFF OF .. / dx R SQUAR OF dx`), and name lookups are the top
+// entry in interpreter profiles of the paper's SVI workloads.
 //
 // Soundness needs three things.
 //  * Dropping the store must be invisible: v has a unique private scalar
@@ -2140,7 +1393,6 @@ struct Fuse {
 struct LoopOpt {
   Census& census;
   const Types& types;
-  const Options& opts;
   Stats& st;
   std::uint64_t changed = 0;
   int fresh_n = 0;
@@ -2616,49 +1868,8 @@ struct LoopOpt {
 };
 
 // ---------------------------------------------------------------------------
-// Pass: dead code elimination — unreferenced declarations and dead IT
-// writes (the literal ExprStmt residue branch selection leaves behind)
+// Pass: dead code elimination — unreferenced declarations
 // ---------------------------------------------------------------------------
-
-/// True when `e` contains anything that blocks removing a preceding IT
-/// write: an IT read, a `:{...}` interpolation (dynamic name lookup), or
-/// a call (functions get their own IT, but a call is kept as a
-/// conservative barrier so all backends trivially agree).
-bool expr_blocks_it_elim(const Expr& e) {
-  switch (e.kind) {
-    case ExprKind::kItRef:
-    case ExprKind::kCall:
-      return true;
-    case ExprKind::kYarnLit: {
-      for (const auto& seg : static_cast<const YarnLit&>(e).segments) {
-        if (seg.is_var) return true;
-      }
-      return false;
-    }
-    case ExprKind::kSrsRef:
-      return true;  // unreachable: the pass bails on SRS programs
-    case ExprKind::kIndex: {
-      const auto& i = static_cast<const IndexExpr&>(e);
-      return expr_blocks_it_elim(*i.base) || expr_blocks_it_elim(*i.index);
-    }
-    case ExprKind::kBinary: {
-      const auto& b = static_cast<const BinaryExpr&>(e);
-      return expr_blocks_it_elim(*b.lhs) || expr_blocks_it_elim(*b.rhs);
-    }
-    case ExprKind::kNary: {
-      for (const auto& o : static_cast<const NaryExpr&>(e).operands) {
-        if (expr_blocks_it_elim(*o)) return true;
-      }
-      return false;
-    }
-    case ExprKind::kUnary:
-      return expr_blocks_it_elim(*static_cast<const UnaryExpr&>(e).operand);
-    case ExprKind::kCast:
-      return expr_blocks_it_elim(*static_cast<const CastExpr&>(e).value);
-    default:
-      return false;
-  }
-}
 
 struct Dce {
   const Census& census;
@@ -2673,7 +1884,7 @@ struct Dce {
   void walk(StmtList& body) {
     for (std::size_t i = 0; i < body.size();) {
       for_each_child_list(*body[i], [&](StmtList& b) { walk(b); });
-      if (removable(*body[i]) || dead_it_write(body, i)) {
+      if (removable(*body[i])) {
         body.erase(body.begin() + static_cast<std::ptrdiff_t>(i));
         ++st.dead;
         ++changed;
@@ -2681,43 +1892,6 @@ struct Dce {
         ++i;
       }
     }
-  }
-
-  /// `body[i]` is a literal ExprStmt (a pure IT write) that can go when
-  /// a later statement in the same list provably overwrites IT before
-  /// anything reads it. The scan walks forward over IT-neutral simple
-  /// statements; the first ExprStmt that does not itself read IT is the
-  /// overwrite (if its expression throws mid-evaluation the program
-  /// terminates and IT is never read — there is no catch construct).
-  /// Any control flow, region, or other statement kind ends the scan
-  /// conservatively, as does the end of the list (the enclosing
-  /// context — a loop condition's next iteration, a caller — may read
-  /// IT).
-  [[nodiscard]] bool dead_it_write(StmtList& body, std::size_t i) const {
-    Stmt& s = *body[i];
-    if (s.kind != StmtKind::kExpr) return false;
-    if (!literal_of(*static_cast<const ExprStmt&>(s).expr)) return false;
-    for (std::size_t j = i + 1; j < body.size(); ++j) {
-      Stmt& n = *body[j];
-      bool blocked = false;
-      for_each_rvalue(n, [&](ExprPtr& e) {
-        if (expr_blocks_it_elim(*e)) blocked = true;
-      });
-      if (blocked) return false;
-      switch (n.kind) {
-        case StmtKind::kExpr:
-          return true;  // overwrites IT before any read
-        case StmtKind::kAssign:
-        case StmtKind::kVarDecl:
-        case StmtKind::kVisible:
-        case StmtKind::kCastTo:
-        case StmtKind::kLock:
-          continue;  // IT-neutral, keep scanning
-        default:
-          return false;
-      }
-    }
-    return false;
   }
 
   bool removable(const Stmt& s) const {
@@ -2781,7 +1955,7 @@ void optimize(Program& program, const Options& opts, Stats* stats) {
 #endif
   std::uint64_t before_total = st.total();
   // Iterate to a (bounded) fixpoint: propagation exposes folds, folds
-  // expose unrollable trip counts, unrolling exposes more folds.
+  // expose more propagation and dead declarations.
   for (int round = 0; round < 4; ++round) {
     std::uint64_t changed = 0;
     Census census = take_census(program);
@@ -2796,33 +1970,17 @@ void optimize(Program& program, const Options& opts, Stats* stats) {
     changed += prop.changed;
 
     // DCE runs on the census taken above — i.e. before any pass that
-    // renames or deletes code this round — so its counts are exact.
+    // adds or deletes code this round — so its counts are exact.
     Dce dce{census, st};
     dce.run(program.body);
     changed += dce.changed;
 
     if (opts.level >= 2) {
-      Unroll unroll{census, opts, st};
-      unroll.run(program.body);
-      changed += unroll.changed;
-
-      Fold refold{types, st};
-      refold.run(program.body);
-      changed += refold.changed;
-
-      Select select{census, st};
-      select.run(program.body);
-      changed += select.changed;
-
-      RegionMerge regions{census, st};
-      regions.run(program.body);
-      changed += regions.changed;
-
       Fuse fuse{census, types, st};
       fuse.run(program.body);
       changed += fuse.changed;
 
-      LoopOpt loopopt{census, types, opts, st};
+      LoopOpt loopopt{census, types, st};
       loopopt.run(program.body);
       changed += loopopt.changed;
     }
@@ -2836,11 +1994,8 @@ void optimize(Program& program, const Options& opts, Stats* stats) {
     };
     record("fold", st.folded);
     record("prop", st.propagated);
-    record("unroll", st.unrolled);
-    record("select", st.selected);
     record("licm", st.hoisted);
     record("strength", st.reduced);
-    record("regions", st.merged);
     record("fuse", st.fused);
     record("dce", st.dead);
     m.folded.inc(st.total() - before_total);
@@ -2851,14 +2006,12 @@ void optimize(Program& program, const Options& opts, Stats* stats) {
 #endif
 }
 
-std::uint64_t mix_hash(std::uint64_t h, int opt_level,
-                       int unroll_max_trip) {
+std::uint64_t mix_hash(std::uint64_t h, int opt_level) {
   if (opt_level <= 0) return h;  // -O0 runs the raw program unchanged
   auto mix = [&h](std::uint64_t v) {
     h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
   };
   mix(static_cast<std::uint64_t>(opt_level));
-  mix(static_cast<std::uint64_t>(unroll_max_trip));
   mix(kPipelineVersion);
   return h;
 }

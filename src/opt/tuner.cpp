@@ -35,8 +35,9 @@ std::vector<Entry> load_entries(const std::string& path) {
           executor >> e.knobs.pes_per_thread)) {
       continue;  // malformed line: skip, don't fail the whole store
     }
-    if (tag == "v2" && !(ls >> e.knobs.unroll_max_trip)) continue;
-    if (tag != "v1" && tag != "v2") continue;  // v1: unroll unset
+    // v2 lines from older stores carry a trailing unroll cap, which no
+    // pass reads any more: ignore it.
+    if (tag != "v1" && tag != "v2") continue;
     if (executor != "-") e.knobs.executor = executor;
     out.push_back(std::move(e));
   }
@@ -71,11 +72,10 @@ void TunerStore::store(std::uint64_t program_hash, int n_pes,
   if (!replaced) entries.push_back({program_hash, n_pes, k});
   std::ofstream out(path_, std::ios::trunc);
   for (const Entry& e : entries) {
-    out << "v2 " << e.hash << ' ' << e.n_pes << ' '
+    out << "v1 " << e.hash << ' ' << e.n_pes << ' '
         << e.knobs.barrier_radix << ' '
         << (e.knobs.executor.empty() ? "-" : e.knobs.executor.c_str())
-        << ' ' << e.knobs.pes_per_thread << ' '
-        << e.knobs.unroll_max_trip << '\n';
+        << ' ' << e.knobs.pes_per_thread << '\n';
   }
 }
 
@@ -150,36 +150,6 @@ TunedKnobs calibrate(const CompiledProgram& prog, std::string_view source,
           best_ms = ms;
           best.pes_per_thread = ppt;
         }
-      }
-    }
-  }
-
-  // Stage 4: unroll budget. A compile-time knob: the unroller trades
-  // dispatch and loop-condition steps against code size (and, under the
-  // JIT's specialized tier, longer straight-line regions), so the best
-  // cap is workload-dependent. Recompile the source at each candidate
-  // and time it under the runtime knobs that just won. Only meaningful
-  // once the loop pipeline runs (opt level >= 2).
-  if (prog.options.opt_level >= 2) {
-    RunConfig tuned_cfg = base;
-    if (auto e = shmem::executor_from_name(best.executor)) {
-      tuned_cfg.executor = *e;
-      tuned_cfg.pes_per_thread = best.pes_per_thread;
-    }
-    for (int cap : {0, 4, 64}) {
-      if (cap == prog.options.unroll_max_trip) continue;
-      CompileOptions copts = prog.options;
-      copts.unroll_max_trip = cap;
-      CompiledProgram candidate;
-      try {
-        candidate = compile(source, copts);
-      } catch (...) {
-        continue;  // the baseline compiled; a candidate never should fail
-      }
-      double ms = timed_run(candidate, tuned_cfg);
-      if (ms < best_ms) {
-        best_ms = ms;
-        best.unroll_max_trip = cap == 0 ? -1 : cap;
       }
     }
   }

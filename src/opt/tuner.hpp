@@ -28,26 +28,16 @@ struct TunedKnobs {
   int barrier_radix = 0;     // 0 = auto
   std::string executor;      // "" = unset; else thread | pool | fiber
   int pes_per_thread = 0;    // fiber packing; 0 = auto
-  int unroll_max_trip = 0;   // 0 = no preference; -1 = unrolling off;
-                             // >0 = tuned trip-count cap (a compile-time
-                             // knob: appliers recompile with it)
 
   [[nodiscard]] bool any() const {
-    return barrier_radix != 0 || !executor.empty() ||
-           pes_per_thread != 0 || unroll_max_trip != 0;
-  }
-
-  /// The opt::Options / CompileOptions value this preference maps to
-  /// (-1 encodes "unrolling off" as 0). Call only when != 0.
-  [[nodiscard]] int unroll_value() const {
-    return unroll_max_trip < 0 ? 0 : unroll_max_trip;
+    return barrier_radix != 0 || !executor.empty() || pes_per_thread != 0;
   }
 };
 
 /// Durable tuned-knob store: a line-per-entry text file
-/// (`v2 <hash> <n_pes> <radix> <executor|-> <ppt> <unroll>`; v1 lines
-/// without the unroll field still load), small enough to rewrite whole
-/// on every store. Thread-safe; concurrent processes last-writer-win,
+/// (`v1 <hash> <n_pes> <radix> <executor|-> <ppt>`; v2 lines from older
+/// stores still load, their trailing unroll-cap field ignored), small
+/// enough to rewrite whole on every store. Thread-safe; concurrent processes last-writer-win,
 /// which is fine for measurements of the same workload.
 class TunerStore {
  public:

@@ -50,17 +50,8 @@ std::uint64_t hash_source(std::string_view source) {
 }
 
 std::uint64_t cache_key(std::string_view source, const CompileOptions& opts) {
-  return opt::mix_hash(hash_source(source), opts.opt_level,
-                       opts.unroll_max_trip);
+  return opt::mix_hash(hash_source(source), opts.opt_level);
 }
-
-namespace {
-
-bool same_options(const CompileOptions& a, const CompileOptions& b) {
-  return a.opt_level == b.opt_level && a.unroll_max_trip == b.unroll_max_trip;
-}
-
-}  // namespace
 
 CompileCache::CompileCache(std::size_t capacity, std::size_t capacity_bytes)
     : capacity_(capacity == 0 ? 1 : capacity),
@@ -102,7 +93,7 @@ CachedCompile CompileCache::get_or_compile(const std::string& source,
     std::lock_guard<std::mutex> g(m_);
     auto it = entries_.find(key);
     if (it != entries_.end() && it->second.source == source &&
-        same_options(it->second.opts, opts)) {
+        it->second.opts.opt_level == opts.opt_level) {
       ++stats_.hits;
       cache_metrics().hits.inc();
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
@@ -168,7 +159,7 @@ void CompileCache::recharge(const std::string& source,
   std::lock_guard<std::mutex> g(m_);
   auto it = entries_.find(key);
   if (it == entries_.end() || it->second.source != source ||
-      !same_options(it->second.opts, opts)) {
+      it->second.opts.opt_level != opts.opt_level) {
     return;
   }
   Entry& e = it->second;

@@ -26,12 +26,12 @@ namespace lol::service {
 /// 64-bit FNV-1a over the source text — the base of the cache key.
 [[nodiscard]] std::uint64_t hash_source(std::string_view source);
 
-/// The full cache key: the source hash mixed with the compile options
-/// (opt level, unroll bound) and the optimizer pipeline version, via
-/// opt::mix_hash. The same source submitted at -O0 and -O2 is two
-/// distinct entries — folding and unrolling legitimately change step
-/// counts, so the compiled artifacts are not interchangeable — and a
-/// pipeline-version bump invalidates every optimized entry at once.
+/// The full cache key: the source hash mixed with the opt level and the
+/// optimizer pipeline version, via opt::mix_hash. The same source
+/// submitted at -O0 and -O2 is two distinct entries — dce, fuse and the
+/// loop passes legitimately change step counts, so the compiled
+/// artifacts are not interchangeable — and a pipeline-version bump
+/// invalidates every optimized entry at once.
 [[nodiscard]] std::uint64_t cache_key(std::string_view source,
                                       const CompileOptions& opts);
 

@@ -74,11 +74,11 @@ struct Job {
   /// ("pe=K@step=S", "noc=F", "input=N", comma-separated). "" = none.
   std::string fault_spec;
 
-  /// Optimizing middle-end level (0 = off, 1 = folding/propagation,
-  /// 2 = full pipeline, the default). Part of the compile-cache key:
+  /// Optimizing middle-end level (0 = off, 1 = fold/prop/dce, 2 = adds
+  /// fuse/licm/strength, the default). Part of the compile-cache key:
   /// the same source at different levels is compiled and cached
-  /// separately, because folding/unrolling legitimately change step
-  /// counts (see src/opt/opt.hpp).
+  /// separately, because the passes legitimately change step counts
+  /// (see src/opt/opt.hpp).
   int opt_level = 2;
 };
 

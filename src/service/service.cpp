@@ -329,19 +329,6 @@ JobResult Service::execute(Pending& p, Inflight& inflight, double queue_ms) {
   // already-optimized program.
   CompileOptions copts;
   copts.opt_level = std::clamp(job.opt_level, 0, 2);
-  // The tuner's unroll preference is a *compile* knob, so the lookup
-  // happens before the compile cache: a tuned budget selects (or
-  // populates) a distinct cache entry. Same guardrails as the runtime
-  // knobs below: never under record/replay.
-  std::optional<opt::TunedKnobs> tuned;
-  if (tuner_ != nullptr && job.schedule == replay::ScheduleMode::kNone) {
-    tuned = tuner_->lookup(
-        replay::fnv1a(job.source),
-        std::clamp(job.n_pes, 1, std::max(1, opts_.max_pes)));
-  }
-  if (tuned && tuned->unroll_max_trip != 0 && copts.opt_level >= 2) {
-    copts.unroll_max_trip = tuned->unroll_value();
-  }
   CachedCompile compiled =
       cache_.get_or_compile(job.source, copts, &r.compile_cache_hit);
   double compile_ms = ms_since(t0);
@@ -384,7 +371,7 @@ JobResult Service::execute(Pending& p, Inflight& inflight, double queue_ms) {
   // record/replay, whose traces are schedule-shape-sensitive. Outputs
   // are knob-invariant by construction; this trades wall-clock only.
   if (tuner_ != nullptr && job.schedule == replay::ScheduleMode::kNone) {
-    if (const auto& k = tuned) {
+    if (const auto k = tuner_->lookup(replay::fnv1a(job.source), cfg.n_pes)) {
       std::string applied;
       auto note = [&applied](const std::string& kv) {
         if (!applied.empty()) applied += ' ';
@@ -406,9 +393,6 @@ JobResult Service::execute(Pending& p, Inflight& inflight, double queue_ms) {
         cfg.pes_per_thread = k->pes_per_thread;
         note("pes_per_thread=" + std::to_string(k->pes_per_thread));
       }
-      if (k->unroll_max_trip != 0 && copts.opt_level >= 2) {
-        note("unroll_max_trip=" + std::to_string(k->unroll_value()));
-      }
       if (!applied.empty()) {
         r.tuned = std::move(applied);
         svc_metrics().tuner_applied.inc();
@@ -422,8 +406,8 @@ JobResult Service::execute(Pending& p, Inflight& inflight, double queue_ms) {
   // code or a different opt level is refused up front.
   cfg.schedule = job.schedule;
   cfg.perturb_seed = job.perturb_seed;
-  cfg.program_hash = opt::mix_hash(replay::fnv1a(job.source),
-                                   copts.opt_level, copts.unroll_max_trip);
+  cfg.program_hash =
+      opt::mix_hash(replay::fnv1a(job.source), copts.opt_level);
   std::shared_ptr<replay::Trace> trace;
   if (job.schedule == replay::ScheduleMode::kReplay) {
     std::string terr;

@@ -328,8 +328,8 @@ std::optional<Request> parse_request(const std::string& line,
     // Optimization level. Unlike the lenient numeric knobs above, a
     // malformed value is a protocol error: silently compiling at a
     // different level than the client asked for would change step
-    // counts under it (unrolling re-shapes loops), so "opt_level":-1
-    // or "opt_level":"max" must be refused, not defaulted.
+    // counts under it (dce, fuse and licm re-shape code), so
+    // "opt_level":-1 or "opt_level":"max" must be refused, not defaulted.
     if (const Json* lvl = doc->find("opt_level"); lvl != nullptr) {
       bool valid = lvl->is(Json::Kind::kNumber) && std::isfinite(lvl->num) &&
                    lvl->num == std::floor(lvl->num) && lvl->num >= 0.0 &&

@@ -75,7 +75,7 @@ struct Spec {
   /// output-invariant across the full backend x executor matrix. A spec
   /// naming an explicit level is testing that level and ignores the
   /// override. Specs with step budgets near the edge must pin a level:
-  /// folding and unrolling legitimately change step counts.
+  /// dce, fuse and the loop passes legitimately change step counts.
   int opt_level = -1;
 };
 

@@ -150,9 +150,10 @@ TEST(Differential, BarrierRadixIsOutputInvariant) {
 
 // The optimizer is a pure performance transform: -O0, -O1 and -O2 must
 // print byte-identical per-PE output on every backend x executor cell.
-// Workloads chosen to actually exercise the passes — heat_1d unrolls
-// both stencil loops and folds the indices, the n-body listing hoists
-// loop invariants, barrier-sum is the straight-line control. (CI also
+// Workloads chosen to actually exercise the passes — heat_1d folds and
+// propagates its constants, the n-body listing hoists loop invariants
+// and fuses its interaction updates, barrier-sum is the straight-line
+// control. (CI also
 // runs the entire suite under LOL_OPT_LEVEL=0 in one matrix leg.)
 TEST(Differential, OptimizedMatchesUnoptimizedAcrossTheMatrix) {
   std::vector<Spec> workloads;

@@ -233,7 +233,8 @@ TEST(JitSpec, OutOfBoundsInsideARegionMatchesVmAndLeavesNothingParked) {
   // The whole fill loop is one region over a guarded SRSLY NUMBR array;
   // the store at i = 4 throws inside the runtime call, which parks the
   // exception in the PE's env for the VM to rethrow. Level 0 keeps the
-  // loop from being unrolled into code that runs only once.
+  // loop body exactly as written, so the plan does not depend on licm
+  // or strength reduction.
   lol::CompileOptions copts;
   copts.opt_level = 0;
   auto bad = lol::compile(
@@ -390,8 +391,7 @@ TEST(JitSpec, RecordedScheduleReplaysAcrossTiers) {
   // Symmetric stores are schedule-yield token events even when they run
   // specialized; a schedule recorded under the JIT must replay exactly
   // under both the VM and the JIT. Level 0 keeps the 4-trip loops (and
-  // with them the specialized symmetric stores) from being unrolled into
-  // code that runs only once.
+  // with them the specialized symmetric stores) exactly as written.
   lol::CompileOptions copts;
   copts.opt_level = 0;
   auto prog = lol::compile(

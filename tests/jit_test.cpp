@@ -32,12 +32,12 @@ using lol::RunResult;
 
 // A program with enough structure to exercise most VM ops — functions
 // and calls, loops, conditionals — plus a typed counting loop the JIT
-// turns into a specialized region (so it has code bytes to charge; the
-// trip count is past the unroller's budget). The salt rides in a string
-// *literal* (not a comment — comments don't survive into the bytecode
-// chunk or the emitted C), so every backend cache key derived from the
-// program is unique per test and cold-compile tests are not poisoned by
-// other tests that compiled the same semantics earlier in the process.
+// turns into a specialized region (so it has code bytes to charge). The
+// salt rides in a string *literal* (not a comment — comments don't
+// survive into the bytecode chunk or the emitted C), so every backend
+// cache key derived from the program is unique per test and cold-compile
+// tests are not poisoned by other tests that compiled the same semantics
+// earlier in the process.
 std::string salted_source(const std::string& salt) {
   return "HAI 1.2\n"
          "I HAS A salt ITZ \"" + salt + "\"\n"

@@ -1,18 +1,30 @@
 // Unit tests for the optimizing middle-end (src/opt): golden
-// before/after AST dumps per pass, level gating, and the cache-key hash
-// mixing. Each case parses + analyzes a small program, runs the
-// pipeline, and asserts on the structural dump — the same s-expression
-// shape the parser golden tests use — plus the Stats counters, so a
-// pass silently not firing fails loudly rather than vacuously passing.
+// before/after AST dumps per pass, level gating, the sema::Analysis
+// surviving the pipeline, and the cache-key hash mixing. Each case
+// parses + analyzes a small program, runs the pipeline, and asserts on
+// the structural dump — the same s-expression shape the parser golden
+// tests use — plus the Stats counters, so a pass silently not firing
+// fails loudly rather than vacuously passing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "ast/printer.hpp"
+#include "core/paper_programs.hpp"
 #include "opt/opt.hpp"
 #include "parse/parser.hpp"
 #include "sema/analyzer.hpp"
+
+#ifndef LOL_EXAMPLES_DIR
+#define LOL_EXAMPLES_DIR "examples/lol"
+#endif
 
 namespace {
 
@@ -76,83 +88,6 @@ TEST(OptProp, InterpolationKeepsDeclarationAlive) {
   // was propagated away.
   std::string d = opt_dump("I HAS A x ITZ 5\nVISIBLE \":{x}\"");
   EXPECT_TRUE(contains(d, "(decl i x")) << d;
-}
-
-// -- unroll -------------------------------------------------------------------
-
-TEST(OptUnroll, UnrollsSmallCountingLoop) {
-  Stats st;
-  std::string d = opt_dump(
-      "IM IN YR lp UPPIN YR i TIL BOTH SAEM i AN 3\n"
-      "  VISIBLE i\n"
-      "IM OUTTA YR lp",
-      2, &st);
-  EXPECT_EQ(d,
-            "(program\n"
-            "  (visible (numbr 0))\n"
-            "  (visible (numbr 1))\n"
-            "  (visible (numbr 2)))");
-  EXPECT_EQ(st.unrolled, 1u);
-}
-
-TEST(OptUnroll, LeavesLargeTripCountAlone) {
-  // Trip count above unroll_max_trip (default 16) stays a loop.
-  Stats st;
-  std::string d = opt_dump(
-      "IM IN YR lp UPPIN YR i TIL BOTH SAEM i AN 100\n"
-      "  VISIBLE i\n"
-      "IM OUTTA YR lp",
-      2, &st);
-  EXPECT_TRUE(contains(d, "(loop lp uppin:i")) << d;
-  EXPECT_EQ(st.unrolled, 0u);
-}
-
-TEST(OptUnroll, RenamesBodyDeclarationsPerCopy) {
-  // Sibling unrolled copies share one VM scope, so a declaration in the
-  // body must get a fresh name per copy. WHATEVR keeps prop from
-  // erasing the declarations (rng is never propagated).
-  std::string d = opt_dump(
-      "IM IN YR lp UPPIN YR i TIL BOTH SAEM i AN 2\n"
-      "  I HAS A t ITZ WHATEVR\n"
-      "  VISIBLE t\n"
-      "IM OUTTA YR lp");
-  EXPECT_FALSE(contains(d, "(loop")) << d;
-  EXPECT_TRUE(contains(d, "t_u0")) << d;
-  EXPECT_TRUE(contains(d, "t_u1")) << d;
-}
-
-// -- select -------------------------------------------------------------------
-
-TEST(OptSelect, SelectsTakenBranchOfLiteralORly) {
-  Stats st;
-  std::string d = opt_dump(
-      "WIN\n"
-      "O RLY?\n"
-      "  YA RLY\n"
-      "    VISIBLE \"yes\"\n"
-      "  NO WAI\n"
-      "    VISIBLE \"no\"\n"
-      "OIC",
-      2, &st);
-  // The condition expression statement survives (it sets IT); only the
-  // dead branch is dropped.
-  EXPECT_EQ(d,
-            "(program\n"
-            "  (expr (troof WIN))\n"
-            "  (visible (yarn \"yes\")))");
-  EXPECT_EQ(st.selected, 1u);
-  EXPECT_FALSE(contains(d, "no")) << d;
-}
-
-TEST(OptSelect, NonLiteralConditionKeepsBranch) {
-  std::string d = opt_dump(
-      "I HAS A x ITZ WHATEVR\n"
-      "BOTH SAEM x AN 1\n"
-      "O RLY?\n"
-      "  YA RLY\n"
-      "    VISIBLE \"yes\"\n"
-      "OIC");
-  EXPECT_TRUE(contains(d, "(orly")) << d;
 }
 
 // -- licm ---------------------------------------------------------------------
@@ -253,57 +188,6 @@ TEST(OptFold, KeepsSelfProductOfUntypedScalar) {
   EXPECT_TRUE(contains(d, "(produkt (var y) (var y))")) << d;
 }
 
-// -- dead IT writes -----------------------------------------------------------
-
-TEST(OptDce, RemovesLiteralItWriteOverwrittenBeforeRead) {
-  // Branch selection leaves the literal condition as an ExprStmt so IT
-  // still holds its value; when a later selection residue overwrites IT
-  // before anything reads it, the earlier write is dead.
-  Stats st;
-  std::string d = opt_dump(
-      "WIN, O RLY?\n  YA RLY, VISIBLE \"a\"\nOIC\n"
-      "FAIL, O RLY?\n  YA RLY, VISIBLE \"b\"\n  NO WAI, VISIBLE \"c\"\nOIC\n"
-      "VISIBLE IT",
-      2, &st);
-  EXPECT_FALSE(contains(d, "(expr (troof WIN))")) << d;
-  EXPECT_TRUE(contains(d, "(expr (troof FAIL))")) << d;  // read by VISIBLE IT
-  EXPECT_EQ(st.dead, 1u);
-}
-
-// -- region merging -----------------------------------------------------------
-
-TEST(OptRegions, MergesBackToBackRegionsWithSameTarget) {
-  // Two predications of the same literal target, separated only by a
-  // private-scalar assignment, become one region: one target eval and
-  // one entry instead of two. The rng keeps prop from erasing t.
-  Stats st;
-  std::string d = opt_dump(
-      "WE HAS A s ITZ SRSLY A NUMBR AN IM SHARIN IT\n"
-      "I HAS A t ITZ 0\n"
-      "TXT MAH BFF 0 AN STUFF,\n  UR s R 1\nTTYL\n"
-      "t R WHATEVR\n"
-      "TXT MAH BFF 0 AN STUFF,\n  UR s R t\nTTYL",
-      2, &st);
-  EXPECT_EQ(st.merged, 1u);
-  EXPECT_TRUE(contains(
-      d,
-      "(txt block (numbr 0) (assign (var ur s) (numbr 1)) "
-      "(assign (var t) (whatevr)) (assign (var ur s) (var t))))"))
-      << d;
-}
-
-TEST(OptRegions, KeepsRegionsWithDifferentTargets) {
-  Stats st;
-  std::string d = opt_dump(
-      "WE HAS A s ITZ SRSLY A NUMBR AN IM SHARIN IT\n"
-      "TXT MAH BFF 0 AN STUFF,\n  UR s R 1\nTTYL\n"
-      "TXT MAH BFF 1 AN STUFF,\n  UR s R 2\nTTYL",
-      2, &st);
-  EXPECT_EQ(st.merged, 0u);
-  EXPECT_TRUE(contains(d, "(txt block (numbr 0)")) << d;
-  EXPECT_TRUE(contains(d, "(txt block (numbr 1)")) << d;
-}
-
 // -- forward substitution -----------------------------------------------------
 
 TEST(OptFuse, FusesDefsIntoSelfUpdatesAcrossEachOther) {
@@ -385,36 +269,131 @@ TEST(OptLevels, LevelZeroIsANoOp) {
   EXPECT_EQ(st.total(), 0u);
 }
 
-TEST(OptLevels, LevelOneFoldsButDoesNotUnroll) {
+TEST(OptLevels, SmallCountingLoopStaysALoop) {
+  // The pipeline never unrolls: even a 3-trip counting loop keeps its
+  // loop at the full level.
   Stats st;
   std::string d = opt_dump(
-      "VISIBLE SUM OF 3 AN 4\n"
       "IM IN YR lp UPPIN YR i TIL BOTH SAEM i AN 3\n"
       "  VISIBLE i\n"
       "IM OUTTA YR lp",
-      1, &st);
-  EXPECT_TRUE(contains(d, "(visible (numbr 7))")) << d;
+      2, &st);
   EXPECT_TRUE(contains(d, "(loop lp uppin:i")) << d;
-  EXPECT_GT(st.folded, 0u);
-  EXPECT_EQ(st.unrolled, 0u);
+}
+
+TEST(OptLevels, LevelOneFoldsButDoesNotHoist) {
+  // The invariant product is hoisted at level 2 only; level 1 still
+  // folds the constant arithmetic.
+  const std::string body =
+      "VISIBLE SUM OF 3 AN 4\n"
+      "I HAS A a ITZ SRSLY A NUMBR AN ITZ 5\n"
+      "I HAS A b ITZ SRSLY A NUMBR AN ITZ 7\n"
+      "a R SUM OF a AN 2\n"
+      "b R SUM OF b AN 1\n"
+      "I HAS A s ITZ A NUMBR AN ITZ 0\n"
+      "IM IN YR lp UPPIN YR i TIL BOTH SAEM i AN 20\n"
+      "  s R SUM OF s AN PRODUKT OF a AN b\n"
+      "IM OUTTA YR lp\n"
+      "VISIBLE s";
+  Stats one;
+  std::string d1 = opt_dump(body, 1, &one);
+  EXPECT_TRUE(contains(d1, "(visible (numbr 7))")) << d1;
+  EXPECT_FALSE(contains(d1, "licm_t")) << d1;
+  EXPECT_GT(one.folded, 0u);
+  EXPECT_EQ(one.hoisted, 0u);
+
+  Stats two;
+  std::string d2 = opt_dump(body, 2, &two);
+  EXPECT_TRUE(contains(d2, "licm_t0")) << d2;
+  EXPECT_GT(two.hoisted, 0u);
+}
+
+// -- the Analysis survives the pipeline ---------------------------------------
+
+/// The corpus and the paper's listings: every program lol::compile sees
+/// in the examples and the §VI worked examples.
+std::vector<std::pair<std::string, std::string>> corpus() {
+  std::vector<std::pair<std::string, std::string>> out;
+  std::vector<std::filesystem::path> files;
+  for (const auto& e : std::filesystem::directory_iterator(LOL_EXAMPLES_DIR)) {
+    if (e.path().extension() == ".lol") files.push_back(e.path());
+  }
+  std::sort(files.begin(), files.end());
+  for (const auto& f : files) {
+    std::ifstream in(f);
+    std::ostringstream text;
+    text << in.rdbuf();
+    out.emplace_back(f.filename().string(), text.str());
+  }
+  out.emplace_back("ring", lol::paper::ring_listing());
+  out.emplace_back("lock_counter", lol::paper::lock_counter_listing());
+  out.emplace_back("barrier_sum", lol::paper::barrier_sum_listing());
+  out.emplace_back("nbody", lol::paper::nbody_listing());
+  out.emplace_back("nbody_8_2", lol::paper::nbody_program(8, 2, true));
+  // No corpus program defines a function; this one does, next to
+  // symmetric declarations whose initializers fold.
+  out.emplace_back("functions",
+                   "HAI 1.2\n"
+                   "WE HAS A g ITZ SRSLY A NUMBR AN IM SHARIN IT\n"
+                   "WE HAS A h ITZ SRSLY A NUMBR AN ITZ SUM OF 2 AN 2\n"
+                   "HOW IZ I twice YR n\n"
+                   "  I HAS A unused ITZ 1\n"
+                   "  FOUND YR PRODUKT OF n AN SUM OF 1 AN 1\n"
+                   "IF U SAY SO\n"
+                   "VISIBLE I IZ twice YR SUM OF 3 AN 4 MKAY\n"
+                   "KTHXBYE\n");
+  return out;
+}
+
+TEST(OptAnalysis, AnalysisBeforeOptimizeMatchesFreshAnalysis) {
+  // lol::compile analyzes once, before optimize(): the passes must keep
+  // every function definition and symmetric declaration the Analysis
+  // borrows. Re-analyzing the optimized program must give the same
+  // pointers, slots and lock ids.
+  const auto programs = corpus();
+  ASSERT_GE(programs.size(), 10u) << "examples missing under "
+                                 << LOL_EXAMPLES_DIR;
+  for (const auto& [name, source] : programs) {
+    SCOPED_TRACE(name);
+    lol::ast::Program p = lol::parse::parse_program(source);
+    const lol::sema::Analysis before = lol::sema::analyze(p);
+    Options opts;
+    opts.level = 2;
+    lol::opt::optimize(p, opts);
+    const lol::sema::Analysis after = lol::sema::analyze(p);
+
+    EXPECT_EQ(before.lock_count, after.lock_count);
+    ASSERT_EQ(before.functions.size(), after.functions.size());
+    for (const auto& [fname, info] : before.functions) {
+      auto it = after.functions.find(fname);
+      ASSERT_NE(it, after.functions.end()) << fname;
+      EXPECT_EQ(info.def, it->second.def) << fname;
+    }
+    ASSERT_EQ(before.symmetric.size(), after.symmetric.size());
+    for (std::size_t i = 0; i < before.symmetric.size(); ++i) {
+      EXPECT_EQ(before.symmetric[i].decl, after.symmetric[i].decl) << i;
+      EXPECT_EQ(before.symmetric[i].slot, after.symmetric[i].slot) << i;
+      EXPECT_EQ(before.symmetric[i].lock_id, after.symmetric[i].lock_id)
+          << i;
+    }
+    EXPECT_EQ(before.sym_slot_of_decl, after.sym_slot_of_decl);
+  }
 }
 
 // -- hash mixing --------------------------------------------------------------
 
 TEST(OptHash, LevelZeroLeavesHashUntouched) {
-  EXPECT_EQ(lol::opt::mix_hash(0x1234u, 0, 16), 0x1234u);
+  EXPECT_EQ(lol::opt::mix_hash(0x1234u, 0), 0x1234u);
 }
 
-TEST(OptHash, DistinguishesLevelsAndTripLimits) {
+TEST(OptHash, DistinguishesLevels) {
   std::uint64_t h = 0xdeadbeefu;
-  std::uint64_t h1 = lol::opt::mix_hash(h, 1, 16);
-  std::uint64_t h2 = lol::opt::mix_hash(h, 2, 16);
-  std::uint64_t h2b = lol::opt::mix_hash(h, 2, 8);
+  std::uint64_t h1 = lol::opt::mix_hash(h, 1);
+  std::uint64_t h2 = lol::opt::mix_hash(h, 2);
   EXPECT_NE(h1, h);
   EXPECT_NE(h1, h2);
-  EXPECT_NE(h2, h2b);
   // Deterministic: same inputs, same key.
-  EXPECT_EQ(h2, lol::opt::mix_hash(h, 2, 16));
+  EXPECT_EQ(h2, lol::opt::mix_hash(h, 2));
 }
 
 }  // namespace

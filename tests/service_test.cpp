@@ -12,6 +12,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <cstdio>
+#include <fstream>
 #include <future>
 #include <mutex>
 #include <random>
@@ -425,14 +426,15 @@ TEST(Service, PerJobMaxStepsOverridesTheDefault) {
 }
 
 TEST(Service, OptLevelChangesStepAccountingAsDocumented) {
-  // The optimizer preserves output but not step counts: a fully
-  // unrolled loop no longer pays per-iteration condition checks. A
-  // budget sized between the two costs classifies differently by
-  // level — the documented divergence the per-level cache keying
+  // The optimizer preserves output but not step counts: dce drops the
+  // never-read declaration, so each iteration executes one statement
+  // fewer. A budget sized between the two costs classifies differently
+  // by level — the documented divergence the per-level cache keying
   // exists to keep honest.
   const char* kSmallLoop =
       "HAI 1.2\n"
       "IM IN YR lp UPPIN YR i TIL BOTH SAEM i AN 4\n"
+      "  I HAS A unused ITZ 7\n"
       "  VISIBLE i\n"
       "IM OUTTA YR lp\n"
       "KTHXBYE\n";
@@ -442,7 +444,7 @@ TEST(Service, OptLevelChangesStepAccountingAsDocumented) {
 
   Job fast = make_job("o2", kSmallLoop, 1);
   fast.opt_level = 2;
-  fast.max_steps = 20;
+  fast.max_steps = 62;
   JobResult r2 = svc.submit(std::move(fast)).get();
   ASSERT_EQ(r2.status, JobStatus::kOk) << r2.error;
   ASSERT_EQ(r2.pe_output.size(), 1u);
@@ -450,7 +452,7 @@ TEST(Service, OptLevelChangesStepAccountingAsDocumented) {
 
   Job slow = make_job("o0", kSmallLoop, 1);
   slow.opt_level = 0;
-  slow.max_steps = 20;
+  slow.max_steps = 62;
   JobResult r0 = svc.submit(std::move(slow)).get();
   EXPECT_EQ(r0.status, JobStatus::kStepLimit);
 
@@ -504,6 +506,46 @@ TEST(Service, TunerAppliesPersistedKnobsOnWarmRuns) {
   EXPECT_EQ(r2.tuned.find("executor="), std::string::npos) << r2.tuned;
   EXPECT_EQ(r.pe_output, r2.pe_output);
 
+  std::remove(path.c_str());
+}
+
+TEST(TunerStore, LoadsLegacyV2LinesAndRewritesThemAsV1) {
+  // Stores written while the unroller existed hold v2 lines with a
+  // trailing unroll cap. They still load, the cap is ignored, and the
+  // next store() rewrites the whole file in the v1 format.
+  std::string path =
+      "/tmp/lol_tuner_v2_test_" + std::to_string(::getpid()) + ".knobs";
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "v2 11 4 2 fiber 2 16\n"
+        << "v2 22 8 0 - 0 -1\n"
+        << "v1 33 2 4 pool 0\n";
+  }
+  lol::opt::TunerStore store(path);
+  auto a = store.lookup(11, 4);
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->barrier_radix, 2);
+  EXPECT_EQ(a->executor, "fiber");
+  EXPECT_EQ(a->pes_per_thread, 2);
+  auto b = store.lookup(22, 8);
+  ASSERT_TRUE(b.has_value());
+  EXPECT_FALSE(b->any());
+  auto c = store.lookup(33, 2);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(c->executor, "pool");
+  EXPECT_FALSE(store.lookup(11, 8).has_value());
+
+  lol::opt::TunedKnobs k;
+  k.barrier_radix = 4;
+  store.store(44, 16, k);
+  std::ifstream in(path);
+  std::string line;
+  std::vector<std::string> lines;
+  while (std::getline(in, line)) lines.push_back(line);
+  EXPECT_EQ(lines, (std::vector<std::string>{"v1 11 4 2 fiber 2",
+                                             "v1 22 8 0 - 0",
+                                             "v1 33 2 4 pool 0",
+                                             "v1 44 16 4 - 0"}));
   std::remove(path.c_str());
 }
 

@@ -38,7 +38,7 @@ int usage(const char* prog) {
                "  --cc <cc>    host C compiler (default: $CC or cc)\n"
                "  --opt-level <L>  middle-end optimization level 0..2\n"
                "               (default 2; runs before C emission, so the\n"
-               "               host cc compiles the folded/unrolled tree)\n",
+               "               host cc compiles the optimized tree)\n",
                prog);
   return 2;
 }

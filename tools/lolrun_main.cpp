@@ -61,14 +61,14 @@ int usage(const char* prog) {
       "                     and lock waits, GIMMEH blocks) to stderr\n"
       "  --tag              prefix output lines with [peN]\n"
       "  --no-stdin         do not feed piped stdin to GIMMEH\n"
-      "  --opt-level <L>    optimizer level 0 (off), 1 (folding), or\n"
-      "                     2 (full loop pipeline; default)\n"
+      "  --opt-level <L>    optimizer level 0 (off), 1 (fold/prop/dce), or\n"
+      "                     2 (adds fuse/licm/strength; default)\n"
       "  --tune             run short calibration runs, print the chosen\n"
       "                     runtime knobs, and persist them (--tuner-cache)\n"
       "  --tuner-cache <f>  tuned-knob store: with --tune, where to\n"
       "                     persist the winner (default .lol_tuner_cache);\n"
-      "                     without it, apply the stored knobs — incl. the\n"
-      "                     tuned unroll budget — to this run\n"
+      "                     without it, apply the stored runtime knobs to\n"
+      "                     this run\n"
       "  --jit-dump         --backend jit: hex + annotated dump of emitted\n"
       "                     regions to stderr (same as LOL_JIT_DUMP=1)\n"
       "  --dump-ast         print the (optimized) AST and exit\n"
@@ -222,8 +222,7 @@ int main(int argc, char** argv) {
   // An explicit --tuner-cache without --tune applies a persisted
   // calibration winner, mirroring the service's warm-hit path: explicit
   // flags always win, record/replay never tunes (traces are
-  // schedule-shape-sensitive). The unroll budget is a compile knob and
-  // must land before the program (and its replay hash) is built.
+  // schedule-shape-sensitive).
   if (have_tuner_cache && !tune &&
       cfg.schedule == lol::replay::ScheduleMode::kNone) {
     lol::opt::TunerStore store(tuner_cache);
@@ -239,18 +238,14 @@ int main(int argc, char** argv) {
       if (k->pes_per_thread != 0 && !ppt_flag) {
         cfg.pes_per_thread = k->pes_per_thread;
       }
-      if (k->unroll_max_trip != 0 && copts.opt_level >= 2) {
-        copts.unroll_max_trip = k->unroll_value();
-      }
     }
   }
 
   // Replay traces must distinguish the optimized shape that actually ran
-  // (unrolling changes step-count footers); -O0 keeps the historical
+  // (the passes change step-count footers); -O0 keeps the historical
   // plain source hash.
-  cfg.program_hash = lol::opt::mix_hash(lol::replay::fnv1a(*source),
-                                        copts.opt_level,
-                                        copts.unroll_max_trip);
+  cfg.program_hash =
+      lol::opt::mix_hash(lol::replay::fnv1a(*source), copts.opt_level);
 
   try {
     lol::CompiledProgram prog = lol::compile(*source, copts);
@@ -258,12 +253,10 @@ int main(int argc, char** argv) {
       lol::opt::TunerStore store(tuner_cache);
       lol::opt::TunedKnobs knobs =
           lol::opt::calibrate(prog, *source, cfg.n_pes, &store);
-      std::printf(
-          "tuned: barrier_radix=%d executor=%s pes_per_thread=%d "
-          "unroll_max_trip=%d\n",
-          knobs.barrier_radix,
-          knobs.executor.empty() ? "-" : knobs.executor.c_str(),
-          knobs.pes_per_thread, knobs.unroll_max_trip);
+      std::printf("tuned: barrier_radix=%d executor=%s pes_per_thread=%d\n",
+                  knobs.barrier_radix,
+                  knobs.executor.empty() ? "-" : knobs.executor.c_str(),
+                  knobs.pes_per_thread);
       return 0;
     }
     if (dump_ast) {
