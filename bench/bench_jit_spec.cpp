@@ -1,18 +1,15 @@
 // Experiment J1 — the JIT's headline: specialized regions entered from
-// the VM loop close the gap between the VM and native C.
+// the VM loop speed up the VM's hot loops.
 //
 // The paper's §VI kernels (1-D heat stencil, n-body accumulation),
-// reduced to their inner loops, on three execution variants:
+// reduced to their inner loops, on two execution variants:
 //   vm        — bytecode VM (the semantic reference)
 //   jit       — the VM plus register-allocating specialized regions
-//   native    — Backend::kNative (lcc-emitted C via the host cc)
-// The shape that must reproduce: jit >= 2x vm on these loops, and jit
-// within 3x of native.
+// The shape that must reproduce: jit >= 2x vm on these loops.
 #include <string>
 
 #include "bench_common.hpp"
 #include "codegen/jit_backend.hpp"
-#include "codegen/native_backend.hpp"
 
 namespace {
 
@@ -82,16 +79,11 @@ void run_variant(benchmark::State& state, const std::string& src,
     state.SkipWithError("jit unavailable on this host");
     return;
   }
-  if (backend == lol::Backend::kNative &&
-      !lol::codegen::native_available()) {
-    state.SkipWithError("no host cc for the native backend");
-    return;
-  }
   auto prog = bench::compile_once(src);
   lol::RunConfig cfg;
   cfg.backend = backend;
-  // Warm the code caches outside the timed loop (native pays a cc fork
-  // on the cold run).
+  // Warm the code caches outside the timed loop (the jit emits its
+  // regions on the cold run).
   if (!lol::run(prog, cfg).ok) {
     state.SkipWithError("warmup run failed");
     return;
@@ -112,18 +104,12 @@ void BM_Heat_Vm(benchmark::State& s) {
 void BM_Heat_JitSpecialized(benchmark::State& s) {
   run_variant(s, heat_kernel(kSweeps), lol::Backend::kJit, kHeatItems);
 }
-void BM_Heat_Native(benchmark::State& s) {
-  run_variant(s, heat_kernel(kSweeps), lol::Backend::kNative, kHeatItems);
-}
 
 void BM_Nbody_Vm(benchmark::State& s) {
   run_variant(s, nbody_kernel(kPairs), lol::Backend::kVm, kPairs);
 }
 void BM_Nbody_JitSpecialized(benchmark::State& s) {
   run_variant(s, nbody_kernel(kPairs), lol::Backend::kJit, kPairs);
-}
-void BM_Nbody_Native(benchmark::State& s) {
-  run_variant(s, nbody_kernel(kPairs), lol::Backend::kNative, kPairs);
 }
 
 }  // namespace
@@ -132,12 +118,10 @@ BENCHMARK(BM_Heat_Vm)->Unit(benchmark::kMillisecond)->MinTime(0.2);
 BENCHMARK(BM_Heat_JitSpecialized)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.2);
-BENCHMARK(BM_Heat_Native)->Unit(benchmark::kMillisecond)->MinTime(0.2);
 BENCHMARK(BM_Nbody_Vm)->Unit(benchmark::kMillisecond)->MinTime(0.2);
 BENCHMARK(BM_Nbody_JitSpecialized)
     ->Unit(benchmark::kMillisecond)
     ->MinTime(0.2);
-BENCHMARK(BM_Nbody_Native)->Unit(benchmark::kMillisecond)->MinTime(0.2);
 
 int main(int argc, char** argv) {
   // Keep stdout machine-readable under --benchmark_format=json (the
@@ -148,8 +132,8 @@ int main(int argc, char** argv) {
   }
   if (!json) {
     bench::banner("J1 (JIT regions)",
-                  "VM vs VM + specialized regions vs native on the SVI heat "
-                  "and n-body inner loops (items = inner-loop iterations).");
+                  "VM vs VM + specialized regions on the SVI heat and "
+                  "n-body inner loops (items = inner-loop iterations).");
   }
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();

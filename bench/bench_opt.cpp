@@ -4,10 +4,9 @@
 // and -O2 on the interp and VM backends (the paths that execute the AST
 // / bytecode shape directly and so gain the most from folding,
 // propagation, fusion and hoisting). The headline number is the -O2/-O0
-// throughput ratio per workload; the native and JIT backends run the
-// same optimized program but amortize it behind the host compiler. The
-// pipeline no longer unrolls loops, so the 8-wide stencil and
-// interaction loops below stay loops and the ratio is about 1.0x.
+// throughput ratio per workload; the JIT runs the same optimized
+// program. The pipeline no longer unrolls loops, so the 8-wide stencil
+// and interaction loops below stay loops and the ratio is about 1.0x.
 #include <sstream>
 #include <string>
 

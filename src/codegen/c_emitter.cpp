@@ -24,8 +24,8 @@ enum class CT { kI64, kF64, kLolv };
 struct VarInfo {
   enum class Kind {
     kDyn,        // lolv
-    kNativeI64,  // long long
-    kNativeF64,  // double
+    kI64,        // long long
+    kF64,        // double
     kDynArr,     // lolv* + count
     kI64Arr,     // long long* + count
     kF64Arr,     // double* + count
@@ -191,10 +191,10 @@ class Emitter {
       return info;
     }
     if (d.srsly && d.declared_type == ast::TypeKind::kNumbar) {
-      info.kind = VarInfo::Kind::kNativeF64;
+      info.kind = VarInfo::Kind::kF64;
       info.stype = ast::TypeKind::kNumbar;
     } else if (d.srsly && d.declared_type == ast::TypeKind::kNumbr) {
-      info.kind = VarInfo::Kind::kNativeI64;
+      info.kind = VarInfo::Kind::kI64;
       info.stype = ast::TypeKind::kNumbr;
     } else {
       info.kind = VarInfo::Kind::kDyn;
@@ -222,10 +222,10 @@ class Emitter {
         case VarInfo::Kind::kDyn:
           header_ << "  lolv " << v.c_name << ";\n";
           break;
-        case VarInfo::Kind::kNativeI64:
+        case VarInfo::Kind::kI64:
           header_ << "  long long " << v.c_name << ";\n";
           break;
-        case VarInfo::Kind::kNativeF64:
+        case VarInfo::Kind::kF64:
           header_ << "  double " << v.c_name << ";\n";
           break;
         case VarInfo::Kind::kDynArr:
@@ -312,7 +312,6 @@ class Emitter {
   }
 
   void emit_c_main() {
-    if (!opts_.emit_main) return;
     raw("int main(int argc, char** argv) {\n");
     raw("  return lolrt_run_main(argc, argv, lol_user_main, " +
         std::to_string(analysis_.lock_count) + ");\n");
@@ -667,14 +666,14 @@ class Emitter {
       // Reads are materialized into temporaries so sibling operands with
       // side effects cannot reorder against them (LOLCODE evaluates
       // strictly left to right).
-      case VarInfo::Kind::kNativeI64: {
+      case VarInfo::Kind::kI64: {
         if (remote) break;
         ct = CT::kI64;
         std::string t = temp();
         line("long long " + t + " = " + vref(v) + ";");
         return t;
       }
-      case VarInfo::Kind::kNativeF64: {
+      case VarInfo::Kind::kF64: {
         if (remote) break;
         ct = CT::kF64;
         std::string t = temp();
@@ -832,11 +831,11 @@ class Emitter {
                box(atom, ct) + ");");
         }
         return;
-      case VarInfo::Kind::kNativeI64:
+      case VarInfo::Kind::kI64:
         if (remote) break;
         line(vref(v) + " = " + to_i64(atom, ct) + ";");
         return;
-      case VarInfo::Kind::kNativeF64:
+      case VarInfo::Kind::kF64:
         if (remote) break;
         line(vref(v) + " = " + to_f64(atom, ct) + ";");
         return;
@@ -916,8 +915,8 @@ class Emitter {
 
   void emit_stmt(const ast::Stmt& s, bool top_level) {
     // Mirror the interpreter's per-statement budget charge
-    // (rt::ExecContext::count_step) so max_steps and external aborts
-    // behave identically on the native path. Function definitions are
+    // (rt::ExecContext::count_step) so --max-steps budgets behave
+    // identically in lcc executables. Function definitions are
     // hoisted out of the statement stream, so nothing executes here.
     if (s.kind != ast::StmtKind::kFuncDef) line("lolrt_step(pe);");
     switch (s.kind) {
@@ -1105,25 +1104,25 @@ class Emitter {
         line((is_global ? "" : std::string("long long ")) + vref(v) +
              "_n = " + count + ";");
         line((is_global ? "" : std::string(ty) + "* ") + vref(v) + " = (" +
-             ty + "*)lolrt_alloc(pe, (size_t)(" + vref(v) + "_n) * sizeof(" +
-             ty + "));");
+             ty + "*)lolrt_alloc_array(pe, " + vref(v) + "_n, sizeof(" + ty +
+             "));");
         if (v.kind == VarInfo::Kind::kDynArr) {
           line("lolrt_arr_fill(pe, " + vref(v) + ", " + vref(v) + "_n, " +
                std::to_string(lolv_tag(v.elem)) + ");");
         }
         return;
       }
-      case VarInfo::Kind::kNativeI64:
-      case VarInfo::Kind::kNativeF64: {
-        std::string init = v.kind == VarInfo::Kind::kNativeF64 ? "0.0" : "0";
+      case VarInfo::Kind::kI64:
+      case VarInfo::Kind::kF64: {
+        std::string init = v.kind == VarInfo::Kind::kF64 ? "0.0" : "0";
         if (d.init) {
           CT ct;
           std::string atom = emit_expr(*d.init, ct);
-          init = v.kind == VarInfo::Kind::kNativeF64 ? to_f64(atom, ct)
+          init = v.kind == VarInfo::Kind::kF64 ? to_f64(atom, ct)
                                                      : to_i64(atom, ct);
         }
         const char* ty =
-            v.kind == VarInfo::Kind::kNativeF64 ? "double " : "long long ";
+            v.kind == VarInfo::Kind::kF64 ? "double " : "long long ";
         line((is_global ? "" : std::string(ty)) + vref(v) + " = " + init +
              ";");
         return;

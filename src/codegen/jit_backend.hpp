@@ -72,7 +72,7 @@ class JitProgram {
   std::vector<const void*> entry_;  // per pc; empty without regions
 };
 
-/// Per-CompiledProgram memo mirroring NativeSlot/VmSlot: filled under its
+/// Per-CompiledProgram memo mirroring VmSlot: filled under its
 /// own lock on the first Backend::kJit run so warm runs skip the cache
 /// key serialization.
 struct JitSlot {

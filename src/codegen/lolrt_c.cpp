@@ -18,7 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "codegen/native_backend.hpp"
 #include "rt/exec_context.hpp"
 #include "rt/io.hpp"
 #include "rt/objects.hpp"
@@ -30,7 +29,7 @@
 // The per-PE context behind every generated call. All execution services
 // (shmem handle, RNG, IO, step budget, abort poll) come from the same
 // rt::ExecContext the interpreter and VM run against — that sharing is
-// what makes the three backends one semantics, budget included.
+// what gives lcc executables the engine's semantics, budget included.
 struct lolrt_pe {
   lol::rt::ExecContext* ctx = nullptr;
 
@@ -43,8 +42,6 @@ struct lolrt_pe {
   char err[512] = {0};
   bool failed = false;
   bool step_limited = false;  // the failure was an exhausted step budget
-  bool pe_killed = false;     // the failure was injected (PeKilledError)
-  unsigned long long killed_step = 0;
 };
 
 namespace {
@@ -159,6 +156,23 @@ lol::rt::SymHandle make_handle(size_t off, long long count, int elem) {
   return h;
 }
 
+// Runs one PE of generated C on `ctx`. The lolrt_pe is constructed
+// before setjmp and only read after the longjmp returns; the stored
+// failure is rethrown as the exception the launch classifies.
+void run_pe(lolrt_main_fn fn, lol::rt::ExecContext& ctx) {
+  lolrt_pe pe_ctx;
+  pe_ctx.ctx = &ctx;
+  if (setjmp(pe_ctx.jb) == 0) {
+    fn(&pe_ctx);
+  }
+  if (pe_ctx.failed) {
+    if (pe_ctx.step_limited) {
+      throw lol::support::StepLimitError(ctx.max_steps);
+    }
+    throw lol::support::RuntimeError(pe_ctx.err);
+  }
+}
+
 }  // namespace
 
 // Every API body runs inside this bracket: exceptions are converted into
@@ -171,11 +185,6 @@ lol::rt::SymHandle make_handle(size_t off, long long count, int elem) {
   }                                                   \
   catch (const lol::support::StepLimitError& e) {     \
     (pe)->step_limited = true;                        \
-    store_err((pe), e.what());                        \
-  }                                                   \
-  catch (const lol::support::PeKilledError& e) {      \
-    (pe)->pe_killed = true;                           \
-    (pe)->killed_step = e.step();                     \
     store_err((pe), e.what());                        \
   }                                                   \
   catch (const std::exception& e) {                   \
@@ -320,8 +329,7 @@ void lolrt_visible(lolrt_pe* pe, int n, const lolv* xs, int newline,
 lolv lolrt_gimmeh(lolrt_pe* pe) {
   LOLRT_TRY
   // ExecContext::read_line polls the input source with a bounded wait, so
-  // an external abort interrupts native code blocked on input exactly as
-  // it does on the interpreter and VM backends.
+  // a peer's failure interrupts a PE blocked on input.
   auto line = pe->ctx->read_line();
   return from_value(pe, Value::yarn(line.value_or("")));
   LOLRT_END(pe)
@@ -497,6 +505,17 @@ void* lolrt_alloc(lolrt_pe* pe, size_t bytes) {
   LOLRT_END(pe)
 }
 
+void* lolrt_alloc_array(lolrt_pe* pe, long long n, size_t elem_bytes) {
+  if (n <= 0) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "array size must be positive, got %lld",
+                  n);
+    store_err(pe, buf);
+    jump_out(pe);
+  }
+  return lolrt_alloc(pe, static_cast<size_t>(n) * elem_bytes);
+}
+
 long long lolrt_idx(lolrt_pe* pe, long long idx, long long n) {
   if (idx < 0 || idx >= n) {
     char buf[128];
@@ -581,7 +600,7 @@ int lolrt_run_main(int argc, char** argv, lolrt_main_fn fn, int n_locks) {
   lol::shmem::LaunchResult lr = runtime.launch([&](lol::shmem::Pe& pe) {
     lol::rt::ExecContext ctx(pe, seed, sink, input, max_steps);
     try {
-      lol::codegen::run_native_pe(fn, ctx);
+      run_pe(fn, ctx);
     } catch (const lol::support::StepLimitError&) {
       step_limited.store(true, std::memory_order_relaxed);
       throw;  // launch captures it as this PE's error and aborts peers
@@ -600,30 +619,3 @@ int lolrt_run_main(int argc, char** argv, lolrt_main_fn fn, int n_locks) {
 }
 
 } /* extern "C" */
-
-namespace lol::codegen {
-
-// Bridges one PE of generated C onto an engine-owned ExecContext. The
-// lolrt_pe is constructed before setjmp and only read after the longjmp
-// returns, matching the discipline lolrt_run_main always used; the
-// stored failure is rethrown as the exception type the engine (and the
-// Service's status classification) expects.
-void run_native_pe(lolrt_main_fn fn, lol::rt::ExecContext& ctx) {
-  lolrt_pe pe_ctx;
-  pe_ctx.ctx = &ctx;
-  if (setjmp(pe_ctx.jb) == 0) {
-    fn(&pe_ctx);
-  }
-  if (pe_ctx.failed) {
-    if (pe_ctx.step_limited) {
-      throw lol::support::StepLimitError(ctx.max_steps);
-    }
-    if (pe_ctx.pe_killed) {
-      throw lol::support::PeKilledError(
-          ctx.pe->id(), static_cast<std::uint64_t>(pe_ctx.killed_step));
-    }
-    throw lol::support::RuntimeError(pe_ctx.err);
-  }
-}
-
-}  // namespace lol::codegen

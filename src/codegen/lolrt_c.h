@@ -4,8 +4,8 @@
  * LOLCODE compiler translates source to C that calls only this interface,
  * and any C99 compiler produces the final executable. The implementation
  * (lolrt_c.cpp) is backed by the same shmem substrate, value model and IO
- * plumbing the interpreter and VM use, so all three backends share one
- * semantics.
+ * plumbing the interpreter and VM use, so lcc executables share the
+ * engine's semantics.
  *
  * Error model: runtime errors (bad casts, out-of-range PEs, lock misuse)
  * do not return; they record a message and longjmp back to the launcher,
@@ -102,11 +102,11 @@ lolv lolrt_gimmeh(lolrt_pe* pe);
 /* -- cooperative step budget / abort poll -------------------------------------- */
 /* Charges one execution step. The generated code calls this once per
  * statement and once per loop iteration, mirroring how the interpreter
- * charges rt::ExecContext::count_step — so `--max-steps` budgets and
- * external aborts (Service deadlines, cancel) behave identically on the
- * native path. Does not return when the budget is exhausted or an abort
- * is pending: the condition is recorded and control longjmps back to the
- * launcher, which reports a step-limit or abort failure for this PE. */
+ * charges rt::ExecContext::count_step — so `--max-steps` budgets behave
+ * as they do on the interpreter. Does not return when the budget is
+ * exhausted or a peer has failed: the condition is recorded and control
+ * longjmps back to the launcher, which reports a step-limit or abort
+ * failure for this PE. */
 void lolrt_step(lolrt_pe* pe);
 
 /* -- SPMD / PGAS (the paper's Table II surface) ------------------------------- */
@@ -150,6 +150,9 @@ void lolrt_bff_reset(lolrt_pe* pe, long long depth);
 
 /* -- memory, user state, errors ---------------------------------------------- */
 void* lolrt_alloc(lolrt_pe* pe, size_t bytes); /* zeroed; freed at PE end */
+/* A private array of `n` elements of `elem_bytes` each, zeroed; fails
+ * like lolrt_shmalloc when n <= 0. */
+void* lolrt_alloc_array(lolrt_pe* pe, long long n, size_t elem_bytes);
 long long lolrt_idx(lolrt_pe* pe, long long idx, long long n);
 void lolrt_arr_fill(lolrt_pe* pe, lolv* arr, long long n, int elem);
 void lolrt_set_user(lolrt_pe* pe, void* p);

@@ -9,7 +9,9 @@
 //   std::cout << result.pe_output[0];
 //
 // The paper's command-line flow (`lcc code.lol -o x && coprsh -np 16 ./x`)
-// is provided by the `lcc` and `lolrun` tools built on this API.
+// is provided by the `lcc` tool: it translates LOLCODE to C and links the
+// result against this library's lolrt runtime. Execution through this
+// API (and `lolrun`, `lolserve`) never invokes a host toolchain.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +33,6 @@
 
 namespace lol::codegen {
 struct JitSlot;
-struct NativeSlot;
 }
 
 namespace lol::vm {
@@ -44,10 +45,6 @@ namespace lol {
 enum class Backend {
   kInterp,  // tree-walking interpreter (reference semantics)
   kVm,      // bytecode VM (compiled dispatch; same semantics, faster)
-  kNative,  // lcc-generated C compiled by the host cc, dlopen()ed and run
-            // in-process on the same shmem substrate; needs a host C
-            // compiler (lol::codegen::native_available()) or the run
-            // fails with an explanatory error
   kJit,     // the VM plus type-specialized regions emitted as x86-64 in
             // W^X pages, entered from the VM loop — no host toolchain,
             // microsecond cold compiles. Runs the plain VM when the host
@@ -55,7 +52,7 @@ enum class Backend {
             // (lol::codegen::jit_available())
 };
 
-/// Canonical backend name ("interp" / "vm" / "native" / "jit") — the single
+/// Canonical backend name ("interp" / "vm" / "jit") — the single
 /// mapping every surface shares: lolrun/lolserve --backend flags, the
 /// daemon wire protocol, the differential harness.
 [[nodiscard]] const char* to_string(Backend b);
@@ -83,12 +80,6 @@ struct CompiledProgram {
   /// The options this program was compiled with (cache keys and replay
   /// hashes must distinguish optimized shapes).
   CompileOptions options;
-
-  /// Backend::kNative memo: the loaded shared object for this program,
-  /// filled on first native run so repeats skip C emission (see
-  /// codegen/native_backend.hpp). Harmless to leave null on
-  /// hand-constructed instances — the run falls back to the global cache.
-  std::shared_ptr<codegen::NativeSlot> native_slot;
 
   /// Backend::kVm memo: the compiled bytecode chunk, filled on first VM
   /// run so warm service jobs stop re-compiling bytecode per submission
@@ -198,7 +189,7 @@ struct RunResult {
   /// blocks; *_wait_ns populated only when RunConfig::profile was set).
   std::vector<obs::PeProfile> pe_profiles;
   /// Lifecycle timing for job traces: run() entry until the first PE
-  /// body started (native/vm memo, runtime build, executor claim), and
+  /// body started (vm/jit memo, runtime build, executor claim), and
   /// from then until the gang joined.
   double claim_ms = 0.0;
   double exec_ms = 0.0;

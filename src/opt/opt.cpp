@@ -1902,13 +1902,13 @@ struct Dce {
     if (dc == census.decl_count.end() || dc->second != 1) return false;
     if (census.ref_count.count(d.name) != 0) return false;
     // Initializer/size must be pure and total (a throwing initializer
-    // is an observable runtime error).
+    // or a non-positive array size is an observable runtime error).
     auto pure = [](const Expr& e) {
       return literal_of(e).has_value() || e.kind == ExprKind::kMe ||
              e.kind == ExprKind::kMahFrenz;
     };
     if (d.init && !pure(*d.init)) return false;
-    if (d.array_size && !pure(*d.array_size)) return false;
+    if (d.array_size && !positive_size(*d.array_size)) return false;
     if (d.init && d.srsly && d.declared_type) {
       auto v = literal_of(*d.init);
       if (!v) return false;  // ME/MAH FRENZ cast is total for NUMBR only
@@ -1919,6 +1919,18 @@ struct Dce {
       }
     }
     return true;
+  }
+
+  /// MAH FRENZ is at least 1; ME is 0 on PE 0, so it is not.
+  static bool positive_size(const Expr& e) {
+    if (e.kind == ExprKind::kMahFrenz) return true;
+    auto v = literal_of(e);
+    if (!v) return false;
+    try {
+      return v->to_numbr() > 0;
+    } catch (const support::LolError&) {
+      return false;
+    }
   }
 };
 

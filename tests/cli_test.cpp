@@ -67,8 +67,12 @@ TEST(LolrunCli, BackendSelection) {
   EXPECT_EQ(vm.status, 0);
   EXPECT_EQ(in.status, 0);
   EXPECT_EQ(vm.output, in.output);
-  auto bad = run_cmd(std::string(LOLRUN_BIN) + " --backend turbo " + path);
-  EXPECT_NE(bad.status, 0);
+  for (const char* name : {"turbo", "native"}) {
+    auto bad = run_cmd(std::string(LOLRUN_BIN) + " --backend " + name + " " +
+                       path);
+    EXPECT_NE(bad.status, 0) << name;
+    EXPECT_NE(bad.output.find("unknown backend"), std::string::npos) << name;
+  }
 }
 
 TEST(LolrunCli, MachineSimReportsModeledTime) {

@@ -262,6 +262,28 @@ TEST(Daemon, MalformedLinesYieldErrorsButKeepTheConnection) {
   EXPECT_TRUE(c.read_event("pong").has_value());
 }
 
+// Tenant source never reaches a host compiler: "native" names no
+// backend, so it gets the unknown-backend error and the next job on the
+// same connection still runs.
+TEST(Daemon, NativeBackendIsRejectedAndTheConnectionKeepsServing) {
+  DaemonFixture fx;
+  ASSERT_TRUE(fx.started);
+  Client c(fx.daemon.tcp_port());
+
+  c.send_line(
+      R"({"op":"submit","source":"HAI 1.2\nKTHXBYE\n","backend":"native"})");
+  auto err = c.read_event("error");
+  ASSERT_TRUE(err.has_value());
+  EXPECT_NE(err->find("message")->str.find("unknown backend 'native'"),
+            std::string::npos)
+      << err->find("message")->str;
+
+  c.send_line(kHelloSubmit);
+  auto done = c.read_event("done");
+  ASSERT_TRUE(done.has_value());
+  EXPECT_EQ(done->find("status")->str, "ok");
+}
+
 TEST(Daemon, StatsReflectServedJobs) {
   DaemonFixture fx;
   ASSERT_TRUE(fx.started);
@@ -543,7 +565,7 @@ TEST(Wire, SubmitRoundTripsRandomJobs) {
     job.heap_bytes = static_cast<std::size_t>(random_u64(rng));
     job.backend = iter % 3 == 0   ? lol::Backend::kInterp
                   : iter % 3 == 1 ? lol::Backend::kVm
-                                  : lol::Backend::kNative;
+                                  : lol::Backend::kJit;
     job.executor = iter % 3 == 0   ? lol::shmem::ExecutorKind::kThread
                    : iter % 3 == 1 ? lol::shmem::ExecutorKind::kPool
                                    : lol::shmem::ExecutorKind::kFiber;

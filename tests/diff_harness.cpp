@@ -8,7 +8,6 @@
 #include <thread>
 
 #include "codegen/jit_backend.hpp"
-#include "codegen/native_backend.hpp"
 #include "core/abort.hpp"
 #include "driver/cli.hpp"
 #include "support/error.hpp"
@@ -28,13 +27,10 @@ const char* to_string(Outcome o) {
   return "?";
 }
 
-bool native_available() { return codegen::native_available(); }
-
 bool jit_available() { return codegen::jit_available(); }
 
 std::vector<Backend> backends_under_test() {
   std::vector<Backend> out = {Backend::kInterp, Backend::kVm};
-  if (native_available()) out.push_back(Backend::kNative);
   if (jit_available()) out.push_back(Backend::kJit);
   return out;
 }

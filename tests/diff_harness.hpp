@@ -3,8 +3,8 @@
 // The paper's pedagogical claim — and this repo's north star — is that
 // one parallel LOLCODE program means the same thing on every execution
 // substrate. This harness makes that claim testable: run one program
-// through the interpreter, the VM and (when the host has a C compiler)
-// the lcc native path under *identical* RunConfigs, then require
+// through the interpreter, the VM and (where it can run) the JIT under
+// *identical* RunConfigs, then require
 //
 //   * the same outcome classification (ok / compile error / runtime
 //     error / step-limited / aborted), and
@@ -16,14 +16,17 @@
 //
 // The same program is also run under every PE executor (thread-per-PE,
 // the persistent pool and fiber carriers), so the full conformance
-// matrix is {interp, vm, native, jit} x {thread, pool, fiber}:
+// matrix is {interp, vm, jit} x {thread, pool, fiber}:
 // multiplexing virtual PEs on fibers — or executing emitted x86-64
 // instead of dispatching bytecode — must not change what any PE
 // computes or prints.
 //
-// Step-budget caveat: a "step" is a statement in the interpreter and the
-// native code but an instruction in the VM, so budgets near the edge can
-// classify differently by design. Differential cases therefore use
+// lcc's C translation is checked against the VM separately, per PE, by
+// lcc_e2e_test (it runs as its own executable, not in-process).
+//
+// Step-budget caveat: a "step" is a statement in the interpreter but an
+// instruction in the VM, so budgets near the edge can classify
+// differently by design. Differential cases therefore use
 // budgets that are either clearly exhausted (tiny budget, infinite loop)
 // or clearly generous; the classification must then agree.
 #pragma once
@@ -91,15 +94,11 @@ struct BackendRun {
   double wall_ms = 0.0;
 };
 
-/// True when Backend::kNative can run here (host cc + dlopen). Tests
-/// GTEST_SKIP the native column when false; interp-vs-VM still runs.
-bool native_available();
-
 /// True when Backend::kJit can run here (x86-64, executable mmap).
 bool jit_available();
 
-/// The backends this host can compare: interp and VM always, native and
-/// jit when available.
+/// The backends this host can compare: interp and VM always, jit when
+/// available.
 std::vector<Backend> backends_under_test();
 
 /// The executor axis: thread-per-PE and the persistent pool always,

@@ -1,16 +1,16 @@
 // Differential cross-backend conformance suite: every program must mean
-// the same thing on the interpreter, the VM, the lcc native path and the
-// direct x86-64 JIT (Tables 1–3 of the source paper frame conformance
-// exactly this way). Cases cover the example programs shipped in
-// examples/lol/, the paper's §VI listings, and a table of edge-case
-// snippets — including deterministic-seed multi-PE programs, step-limit
-// budgets, external aborts and record/replay trace identity, so the
-// *classification* parity the service relies on is pinned down, not just
-// happy-path output.
+// the same thing on the interpreter, the VM and the x86-64 JIT (Tables
+// 1–3 of the source paper frame conformance exactly this way). Cases
+// cover the example programs shipped in examples/lol/, the paper's §VI
+// listings, and a table of edge-case snippets — including
+// deterministic-seed multi-PE programs, step-limit budgets, external
+// aborts and record/replay trace identity, so the *classification*
+// parity the service relies on is pinned down, not just happy-path
+// output.
 //
-// When the host has no C compiler the native column is skipped, and on
-// non-x86-64 hosts (or under LOL_JIT=0) the jit column is skipped; the
-// harness still cross-checks the remaining backends. CI runs all four.
+// On non-x86-64 hosts (or under LOL_JIT=0) the jit column is skipped;
+// the harness still cross-checks interp and VM. CI runs all three. lcc's
+// C translation has its own VM-differential table in lcc_e2e_test.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -43,18 +43,40 @@ void expect_agreement(const Spec& spec) {
   EXPECT_EQ(report, "") << report;
 }
 
+/// Unread private arrays whose size is not positive on some PE. Each must
+/// fail with "array size must be positive" at every opt level: dce may
+/// not delete a declaration whose size would throw.
+std::vector<Spec> bad_array_size_cases() {
+  const std::string tail = "VISIBLE \"DUN\"\n";
+  std::vector<Spec> out;
+  out.push_back(make("err-array-size-zero-literal",
+                     "I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ 0\n" + tail, 2));
+  out.push_back(make("err-array-size-me",
+                     "I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ ME\n" + tail, 2));
+  out.push_back(make("err-array-size-propagated-zero",
+                     "I HAS A n ITZ 0\n"
+                     "I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ n\n" + tail, 2));
+  out.push_back(make("err-array-size-negative",
+                     "I HAS A n ITZ -3\n"
+                     "I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ n\n" + tail, 2));
+  return out;
+}
+
+/// The root cause of a run error without its "PE N: " prefix and the
+/// interpreter's "line:col: " location, so backends compare equal.
+std::string root_message(const std::string& error) {
+  std::size_t cut = error.rfind(": ");
+  return cut == std::string::npos ? error : error.substr(cut + 2);
+}
+
 TEST(Differential, BackendAvailabilityIsReported) {
   // A visible record in the test log of which optional columns ran on
   // this host, plus a pin that the count matches the availability probes
   // (a backend silently falling out of backends_under_test() would
   // otherwise shrink the matrix without failing anything).
   std::size_t expected = 2;  // interp + vm, always
-  if (lol::difftest::native_available()) ++expected;
   if (lol::difftest::jit_available()) ++expected;
   EXPECT_EQ(lol::difftest::backends_under_test().size(), expected);
-  if (!lol::difftest::native_available()) {
-    GTEST_SKIP() << "no host C compiler: native column skipped";
-  }
   if (!lol::difftest::jit_available()) {
     GTEST_SKIP() << "no x86-64 executable mmap (or LOL_JIT=0): jit "
                     "column skipped";
@@ -153,8 +175,9 @@ TEST(Differential, BarrierRadixIsOutputInvariant) {
 // Workloads chosen to actually exercise the passes — heat_1d folds and
 // propagates its constants, the n-body listing hoists loop invariants
 // and fuses its interaction updates, barrier-sum is the straight-line
-// control. (CI also
-// runs the entire suite under LOL_OPT_LEVEL=0 in one matrix leg.)
+// control. The "err-" cases must instead fail with the VM's -O0 error at
+// every level. (CI also runs the entire suite under LOL_OPT_LEVEL=0 in
+// one matrix leg.)
 TEST(Differential, OptimizedMatchesUnoptimizedAcrossTheMatrix) {
   std::vector<Spec> workloads;
   workloads.push_back(
@@ -177,13 +200,16 @@ TEST(Differential, OptimizedMatchesUnoptimizedAcrossTheMatrix) {
   bsum.source = lol::paper::barrier_sum_listing();
   bsum.n_pes = 4;
   workloads.push_back(bsum);
+  for (const Spec& bad : bad_array_size_cases()) workloads.push_back(bad);
 
   for (Spec& spec : workloads) {
     SCOPED_TRACE(spec.name);
     spec.opt_level = 0;
     auto ref = lol::difftest::run_one(spec, lol::Backend::kVm);
-    ASSERT_EQ(ref.outcome, Outcome::kOk) << ref.error;
-    for (int level : {1, 2}) {
+    const bool want_ok = spec.name.rfind("err-", 0) != 0;
+    ASSERT_EQ(ref.outcome, want_ok ? Outcome::kOk : Outcome::kRuntimeError)
+        << ref.error;
+    for (int level : {0, 1, 2}) {
       Spec opt = spec;
       opt.opt_level = level;
       for (lol::Backend b : lol::difftest::backends_under_test()) {
@@ -192,7 +218,11 @@ TEST(Differential, OptimizedMatchesUnoptimizedAcrossTheMatrix) {
                        lol::difftest::backend_label(b) + "/" +
                        lol::shmem::to_string(e));
           auto run = lol::difftest::run_one(opt, b, e);
-          ASSERT_EQ(run.outcome, Outcome::kOk) << run.error;
+          ASSERT_EQ(run.outcome, ref.outcome) << run.error;
+          if (!want_ok) {
+            EXPECT_EQ(root_message(run.error), root_message(ref.error));
+            continue;
+          }
           EXPECT_EQ(run.pe_output, ref.pe_output);
           EXPECT_EQ(run.pe_errout, ref.pe_errout);
         }
@@ -387,6 +417,7 @@ TEST(Differential, EdgeCaseTable) {
       "err-array-oob",
       "I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ 2\nVISIBLE a'Z 5\n"));
   specs.push_back(make("err-bad-cast", "VISIBLE SUM OF \"nope\" AN 1\n"));
+  for (const Spec& bad : bad_array_size_cases()) specs.push_back(bad);
 
   for (const Spec& spec : specs) {
     SCOPED_TRACE(spec.name);

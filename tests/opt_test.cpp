@@ -90,6 +90,30 @@ TEST(OptProp, InterpolationKeepsDeclarationAlive) {
   EXPECT_TRUE(contains(d, "(decl i x")) << d;
 }
 
+TEST(OptDce, KeepsUnreadArraysWhoseSizeMayNotBePositive) {
+  // A non-positive size is a runtime error at -O0, so dce must keep the
+  // declaration unless the size is provably positive.
+  for (const char* size : {"0", "-3", "ME", "n", "\"x\"", "FAIL"}) {
+    SCOPED_TRACE(size);
+    Stats st;
+    std::string d = opt_dump(std::string("I HAS A n ITZ 0\n") +
+                                 "I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ " +
+                                 size + "\nVISIBLE 1",
+                             2, &st);
+    EXPECT_TRUE(contains(d, " a ")) << d;
+  }
+  for (const char* size : {"4", "2.5", "\"7\"", "MAH FRENZ"}) {
+    SCOPED_TRACE(size);
+    Stats st;
+    std::string d = opt_dump(
+        std::string("I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ ") + size +
+            "\nVISIBLE 1",
+        2, &st);
+    EXPECT_EQ(d, "(program\n  (visible (numbr 1)))");
+    EXPECT_EQ(st.dead, 1u);
+  }
+}
+
 // -- licm ---------------------------------------------------------------------
 
 TEST(OptLicm, HoistsInvariantProduct) {

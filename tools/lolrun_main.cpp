@@ -28,8 +28,9 @@ int usage(const char* prog) {
       stderr,
       "usage: %s [options] <program.lol>\n"
       "  -np <N>            number of PEs (default 1, max 4096)\n"
-      "  --backend <b>      vm (default), interp, native (host cc + dlopen),\n"
-      "                     or jit (vm + x86-64 regions; plain vm elsewhere)\n"
+      "  --backend <b>      vm (default), interp, or jit (vm + x86-64\n"
+      "                     regions; plain vm elsewhere). For the paper's\n"
+      "                     C translation, build an executable with lcc\n"
       "  --executor <e>     thread (default), pool, or fiber — fiber\n"
       "                     multiplexes many virtual PEs per core, so -np\n"
       "                     can go far beyond the host's hardware threads\n"
