@@ -322,6 +322,9 @@ class RegionSim {
         SlotSt st = state_of(m.slot);
         bool first = local_ix_.find(m.slot) == local_ix_.end();
         if (!first && (st.unknown || st.bound)) return false;
+        // Checked before the init value is popped: a failed step must
+        // leave the virtual stack as the region's fallthrough exit sees it.
+        if (first && locals_.size() >= kMaxLocals) return false;
         SpecType t;
         if (m.has_init) {
           if (n < 1) return false;
@@ -343,7 +346,6 @@ class RegionSim {
         }
         act->out = t;
         act->aux = in.a;
-        if (locals_.size() >= kMaxLocals && first) return false;
         act->local = track(m.slot, SpecGuardKind::kUnbound, false);
         touch(act->local, t == SpecType::kDbl);
         set_state(m.slot, st_typed(t, true));

@@ -1,6 +1,7 @@
 #include "parse/parser.hpp"
 
 #include <algorithm>
+#include <string>
 
 namespace lol::parse {
 
@@ -73,6 +74,14 @@ void Parser::fail(const std::string& msg) const {
   throw ParseError(msg, peek().loc);
 }
 
+Parser::Nest::Nest(Parser& parser) : p(parser) {
+  if (p.depth_ >= kMaxNesting) {
+    p.fail("statements and expressions nest more than " +
+           std::to_string(kMaxNesting) + " deep");
+  }
+  ++p.depth_;
+}
+
 // ---------------------------------------------------------------------------
 // Program
 // ---------------------------------------------------------------------------
@@ -130,6 +139,7 @@ StmtList Parser::parse_body(const std::vector<Keyword>& stops) {
 // ---------------------------------------------------------------------------
 
 StmtPtr Parser::parse_statement() {
+  const Nest nest(*this);
   const lex::Token& t = peek();
   if (t.kind == TokKind::kKeyword) {
     switch (t.keyword) {
@@ -570,6 +580,7 @@ ExprPtr Parser::parse_postfix_primary() {
 }
 
 ExprPtr Parser::parse_expr() {
+  const Nest nest(*this);
   const lex::Token& t = peek();
   switch (t.kind) {
     case TokKind::kNumbr: {

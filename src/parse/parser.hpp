@@ -16,6 +16,12 @@ namespace lol::parse {
 
 class Parser {
  public:
+  /// Deepest nesting of statements and expressions, counted together,
+  /// that the parser accepts; one more throws support::ParseError at the
+  /// offending token. Every later stage (sema, opt, interp, the VM and C
+  /// compilers) recurses over the AST, so this bounds their depth too.
+  static constexpr int kMaxNesting = 1000;
+
   explicit Parser(std::vector<lex::Token> tokens)
       : toks_(std::move(tokens)) {}
 
@@ -67,8 +73,19 @@ class Parser {
   ast::ExprPtr parse_postfix_primary();
   ast::TypeKind parse_type(bool allow_plural);
 
+  /// Holds one level of nesting (parse_statement, parse_expr) for its
+  /// lifetime; entering level kMaxNesting + 1 fails.
+  struct Nest {
+    explicit Nest(Parser& parser);
+    ~Nest() { --p.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+    Parser& p;
+  };
+
   std::vector<lex::Token> toks_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 /// Convenience: lex + parse `source` in one call.

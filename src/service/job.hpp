@@ -138,11 +138,6 @@ struct JobResult {
   std::vector<TraceSpan> trace;        // lifecycle phases (see TraceSpan)
   /// Serialized schedule trace when the job recorded or perturbed.
   std::string schedule_trace;
-  /// Auto-tuned knobs the service applied on this run, as
-  /// "knob=value" pairs ("barrier_radix=4 executor=fiber"); empty when
-  /// no tuner store is configured, the store has no entry for this
-  /// (program, n_pes), or the job pinned every knob itself.
-  std::string tuned;
 
   [[nodiscard]] bool ok() const { return status == JobStatus::kOk; }
 };

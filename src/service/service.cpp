@@ -5,7 +5,6 @@
 
 #include "obs/metrics.hpp"
 #include "opt/opt.hpp"
-#include "opt/tuner.hpp"
 
 namespace lol::service {
 
@@ -32,7 +31,6 @@ struct SvcMetrics {
   obs::Histogram& total_ms;
   obs::CounterFamily& deadline_by_tenant;
   obs::CounterFamily& quota_by_tenant;
-  obs::Counter& tuner_applied;
   SvcMetrics()
       : submitted(obs::Registry::global().counter(
             "lol_jobs_submitted_total", "Jobs accepted by submit_job")),
@@ -58,10 +56,7 @@ struct SvcMetrics {
             "lol_quota_rejected_total",
             "Submissions refused by the per-tenant queued-job quota, "
             "by tenant",
-            "tenant")),
-        tuner_applied(obs::Registry::global().counter(
-            "lol_tuner_applied_total",
-            "Jobs that ran with persisted auto-tuned knobs applied")) {}
+            "tenant")) {}
 };
 
 SvcMetrics& svc_metrics() {
@@ -74,9 +69,6 @@ SvcMetrics& svc_metrics() {
 Service::Service(ServiceOptions opts)
     : opts_(std::move(opts)),
       cache_(opts_.cache_capacity, opts_.cache_bytes) {
-  if (!opts_.tuner_cache_path.empty()) {
-    tuner_ = std::make_unique<opt::TunerStore>(opts_.tuner_cache_path);
-  }
   opts_.workers = std::max(1, opts_.workers);
   opts_.queue_capacity = std::max<std::size_t>(1, opts_.queue_capacity);
   opts_.default_tenant_weight = std::max(1, opts_.default_tenant_weight);
@@ -364,41 +356,6 @@ JobResult Service::execute(Pending& p, Inflight& inflight, double queue_ms) {
   cfg.executor = job.executor;
   cfg.pes_per_thread = job.pes_per_thread;
   cfg.barrier_radix = job.barrier_radix;  // Runtime clamps hostile fan-ins
-
-  // Warm-hit auto-tuning: apply the persisted calibration winner for
-  // this (program, n_pes), but only the knobs the job left at their
-  // defaults — an explicit request always wins — and never under
-  // record/replay, whose traces are schedule-shape-sensitive. Outputs
-  // are knob-invariant by construction; this trades wall-clock only.
-  if (tuner_ != nullptr && job.schedule == replay::ScheduleMode::kNone) {
-    if (const auto k = tuner_->lookup(replay::fnv1a(job.source), cfg.n_pes)) {
-      std::string applied;
-      auto note = [&applied](const std::string& kv) {
-        if (!applied.empty()) applied += ' ';
-        applied += kv;
-      };
-      if (k->barrier_radix != 0 && job.barrier_radix < 2) {
-        cfg.barrier_radix = k->barrier_radix;
-        note("barrier_radix=" + std::to_string(k->barrier_radix));
-      }
-      if (!k->executor.empty() &&
-          job.executor == shmem::ExecutorKind::kPool) {
-        if (auto e = shmem::executor_from_name(k->executor)) {
-          cfg.executor = *e;
-          note("executor=" + k->executor);
-        }
-      }
-      if (k->pes_per_thread != 0 && job.pes_per_thread == 0 &&
-          cfg.executor == shmem::ExecutorKind::kFiber) {
-        cfg.pes_per_thread = k->pes_per_thread;
-        note("pes_per_thread=" + std::to_string(k->pes_per_thread));
-      }
-      if (!applied.empty()) {
-        r.tuned = std::move(applied);
-        svc_metrics().tuner_applied.inc();
-      }
-    }
-  }
 
   // Deterministic scheduling + fault injection. Traces are keyed on the
   // source hash mixed with the optimization config (the optimized

@@ -47,10 +47,6 @@
 #include "service/compile_cache.hpp"
 #include "service/job.hpp"
 
-namespace lol::opt {
-class TunerStore;
-}
-
 namespace lol::service {
 
 /// What submit() does when the bounded queue is full.
@@ -93,15 +89,6 @@ struct ServiceOptions {
   /// default_tenant_weight.
   std::map<std::string, int> tenant_weights;
   int default_tenant_weight = 1;
-
-  /// Durable auto-tuner store (opt::TunerStore file path; "" disables).
-  /// When set, each executing job looks up the persisted tuned knobs
-  /// for its (program hash, n_pes) and applies every knob the job left
-  /// at its default — an explicit executor/radix/packing request always
-  /// wins over the tuner. Applied knobs are reported in
-  /// JobResult::tuned. Outputs are knob-invariant by construction, so
-  /// this only ever changes wall-clock.
-  std::string tuner_cache_path;
 
   /// When true, workers are not started by the constructor; jobs queue up
   /// until start() is called. Lets tests (and staged deployments) fill
@@ -257,7 +244,6 @@ class Service {
 
   ServiceOptions opts_;
   CompileCache cache_;
-  std::unique_ptr<opt::TunerStore> tuner_;  // null unless tuner_cache_path
 
   mutable std::mutex m_;
   std::condition_variable not_empty_;

@@ -502,9 +502,6 @@ std::string result_line(const JobResult& r) {
   if (!r.schedule_trace.empty()) {
     out += ",\"sched_trace\":" + quote(r.schedule_trace);
   }
-  if (!r.tuned.empty()) {
-    out += ",\"tuned\":" + quote(r.tuned);
-  }
   out += "}";
   return out;
 }

@@ -27,8 +27,6 @@
 //    "error":"","cached":true,"queue_ms":0.1,"run_ms":1.9,
 //    "trace":[{"span":"queued","start_ms":0.0,"dur_ms":0.1},...],
 //    "output":["..."],"errout":["..."]}
-//   (done events add "tuned":"executor=fiber ..." when the service
-//    applied persisted auto-tuner knobs to the run)
 //   {"event":"cancel","id":7,"ok":true}
 //   {"event":"stats",...}   {"event":"pong"}   {"event":"bye"}
 //   {"event":"metrics","text":"# HELP ...\n..."}  (Prometheus exposition)

@@ -78,7 +78,13 @@ class Compiler {
 
  private:
   // -- emission helpers -------------------------------------------------------
+  //
+  // [[gnu::noinline]] keeps a helper out of the frames of the recursive
+  // compile_expr/compile_stmt. Under -fsanitize=address every inlined
+  // temporary keeps a stack slot of its own, and a program nested
+  // parse::Parser::kMaxNesting deep must still compile on an 8 MiB stack.
 
+  [[gnu::noinline]]
   std::size_t emit(Op op, std::int32_t a = 0, std::int32_t b = 0,
                    std::int32_t c = 0) {
     chunk_.code.push_back(Instr{op, a, b, c});
@@ -93,6 +99,7 @@ class Compiler {
     chunk_.code[at].a = target;
   }
 
+  [[gnu::noinline]]
   std::int32_t add_const(rt::Value v) {
     chunk_.consts.push_back(std::move(v));
     return static_cast<std::int32_t>(chunk_.consts.size() - 1);
@@ -105,6 +112,7 @@ class Compiler {
   // -- scope handling ----------------------------------------------------------
 
   /// Resolves `name`; returns (slot, is_global_frame) or nullopt.
+  [[gnu::noinline]]
   std::optional<std::pair<std::int32_t, bool>> resolve(
       const std::string& name) {
     for (Scope* s = current_scope_; s != nullptr; s = s->parent) {
@@ -287,6 +295,7 @@ class Compiler {
     }
   }
 
+  [[gnu::noinline]]
   void compile_decl(const ast::VarDeclStmt& d) {
     std::int32_t slot = declare_name(d.name, d.loc);
     DeclMeta meta;
@@ -331,6 +340,7 @@ class Compiler {
   /// (operand, flags) for a VarRef/SrsRef access. SrsRef name expressions
   /// are compiled as a name constant only when literal; otherwise the
   /// dynamic name is evaluated onto the stack and flagged.
+  [[gnu::noinline]]
   std::pair<std::int32_t, std::uint32_t> var_operand(const ast::Expr& e,
                                                      support::SourceLoc loc) {
     if (e.kind == ast::ExprKind::kVarRef) {
@@ -383,6 +393,7 @@ class Compiler {
     emit(Op::kStoreVar, operand, static_cast<std::int32_t>(flags | extra));
   }
 
+  [[gnu::noinline]]
   void compile_assign(const ast::AssignStmt& a) {
     // Whole-array copy when both sides are unindexed, statically known
     // array variables. (SRS-named arrays copy element-wise through the
@@ -406,6 +417,7 @@ class Compiler {
     compile_store(*a.target);
   }
 
+  [[gnu::noinline]]
   void compile_orly(const ast::ORlyStmt& s) {
     std::vector<std::size_t> end_jumps;
     emit(Op::kLoadIt);
@@ -426,6 +438,7 @@ class Compiler {
     for (std::size_t j : end_jumps) patch(j, here());
   }
 
+  [[gnu::noinline]]
   void compile_wtf(const ast::WtfStmt& s) {
     breakables_.push_back(Breakable{{}, txt_depth_, {}, false});
 
@@ -454,6 +467,7 @@ class Compiler {
     for (std::size_t j : b.break_jumps) patch(j, here());
   }
 
+  [[gnu::noinline]]
   void compile_loop(const ast::LoopStmt& s) {
     // The loop variable lives in a scope of its own.
     Scope loop_scope;

@@ -1,6 +1,7 @@
 // End-to-end tests for the lolrun CLI (the in-process `coprsh -np N`
 // analogue): flag handling, backend/machine selection, AST/bytecode
-// dumps, and failure exit codes.
+// dumps, and failure exit codes; plus the --help, strict-number and
+// unknown-flag rules lolrun, lolserve and lcc share.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -257,7 +258,96 @@ TEST(LolrunCli, StepLimitUsesDistinctExitStatus) {
   EXPECT_EQ(WEXITSTATUS(r.status), 3) << r.output;
 }
 
+/// The exit status of a finished command, or -1 when a signal killed it.
+int exit_code(const CmdResult& r) {
+  return WIFEXITED(r.status) ? WEXITSTATUS(r.status) : -1;
+}
+
+TEST(LolrunCli, MalformedNumbersExitTwoNamingTheFlag) {
+  std::string path =
+      write_program("strict", "HAI 1.2\nVISIBLE 1\nKTHXBYE\n");
+  struct Row {
+    const char* flag;
+    const char* value;
+  };
+  for (const Row& row : {Row{"-np", "4x"}, Row{"--max-steps", "-5"},
+                         Row{"-np", "0"}, Row{"--seed", " 7"}}) {
+    auto r = run_cmd(std::string(LOLRUN_BIN) + " " + row.flag + " '" +
+                     row.value + "' " + path);
+    EXPECT_EQ(exit_code(r), 2) << row.flag << " " << r.output;
+    EXPECT_NE(r.output.find(std::string(row.flag) + " '" + row.value + "'"),
+              std::string::npos)
+        << r.output;
+  }
+}
+
+TEST(LolrunCli, DeepNestingIsACompileErrorWithALocation) {
+  std::string src = "HAI 1.2\nVISIBLE ";
+  for (int i = 0; i < 100000; ++i) src += "SUM OF 1 AN ";
+  std::string path = write_program("deep", src + "1\nKTHXBYE\n");
+  for (const char* flags : {"--backend interp", "--backend vm",
+                            "--backend jit --opt-level 0", "--dump-ast"}) {
+    auto r = run_cmd(std::string(LOLRUN_BIN) + " " + flags + " " + path);
+    EXPECT_EQ(exit_code(r), 1) << flags << " " << r.output;
+    EXPECT_NE(r.output.find("2:11992: "), std::string::npos) << r.output;
+  }
+}
+
+TEST(ToolCli, UnknownFlagsExitTwo) {
+  std::string path = write_program("unknown", "HAI 1.2\nKTHXBYE\n");
+  std::vector<std::string> cmds;
+  for (const char* flags : {" --tune ", " --tuner-cache f ", " --bogus "}) {
+    cmds.push_back(LOLRUN_BIN + std::string(flags) + path);
+  }
+#ifdef LCC_BIN
+  cmds.push_back(LCC_BIN + std::string(" --bogus ") + path);
+#endif
+  for (const std::string& cmd : cmds) {
+    auto r = run_cmd(cmd);
+    EXPECT_EQ(exit_code(r), 2) << cmd << " " << r.output;
+    EXPECT_NE(r.output.find("unknown flag"), std::string::npos) << r.output;
+  }
+}
+
+TEST(ToolCli, HelpPrintsUsageToStdoutAndExitsZero) {
+  std::vector<std::string> tools = {LOLRUN_BIN};
 #ifdef LOLSERVE_BIN
+  tools.emplace_back(LOLSERVE_BIN);
+#endif
+#ifdef LCC_BIN
+  tools.emplace_back(LCC_BIN);
+#endif
+  for (const std::string& tool : tools) {
+    for (const char* flag : {"--help", "-h"}) {
+      // Braces keep stderr out of the captured text: usage is on stdout.
+      auto r = run_cmd("{ " + tool + " " + flag + " 2>/dev/null; }");
+      EXPECT_EQ(exit_code(r), 0) << tool << " " << flag;
+      EXPECT_EQ(r.output.rfind("usage:", 0), 0u) << tool << " " << r.output;
+    }
+  }
+}
+
+#ifdef LOLSERVE_BIN
+
+TEST(LolserveCli, BadNumbersAndUnknownFlagsExitTwo) {
+  std::string path = write_program("serve_strict", "HAI 1.2\nKTHXBYE\n");
+  struct Row {
+    const char* flags;
+    const char* expect;
+  };
+  for (const Row& row :
+       {Row{"--workers abc", "--workers 'abc'"}, Row{"-np 4x", "-np '4x'"},
+        Row{"--workers 2x", "--workers '2x'"},
+        Row{"--tenant-weights a=2x", "--tenant-weights 'a=2x'"},
+        Row{"--daemon --listen tcp:70000", "--listen 'tcp:70000'"},
+        Row{"--client --connect tcp:-1", "--connect 'tcp:-1'"},
+        Row{"--tuner-cache f", "unknown flag '--tuner-cache'"}}) {
+    auto r =
+        run_cmd(std::string(LOLSERVE_BIN) + " " + row.flags + " " + path);
+    EXPECT_EQ(exit_code(r), 2) << row.flags << " " << r.output;
+    EXPECT_NE(r.output.find(row.expect), std::string::npos) << r.output;
+  }
+}
 
 /// Runs lolserve over `n` one-line jobs with the given extra flags and
 /// returns the job names in completion order (one worker => completion

@@ -19,6 +19,7 @@
 
 #include "core/paper_programs.hpp"
 #include "diff_harness.hpp"
+#include "parse/parser.hpp"
 #include "replay/trace.hpp"
 
 #ifndef LOL_EXAMPLES_DIR
@@ -418,6 +419,33 @@ TEST(Differential, EdgeCaseTable) {
       "I HAS A a ITZ LOTZ A NUMBRS AN THAR IZ 2\nVISIBLE a'Z 5\n"));
   specs.push_back(make("err-bad-cast", "VISIBLE SUM OF \"nope\" AN 1\n"));
   for (const Spec& bad : bad_array_size_cases()) specs.push_back(bad);
+
+  // More loop counters than a JIT region tracks: the region ends at the
+  // declaration that does not fit, with its initial value still on the
+  // virtual stack.
+  std::string counters = "I HAS A c ITZ 0\n";
+  for (int i = 0; i < 30; ++i) {
+    std::string n = std::to_string(i);
+    counters += "IM IN YR l" + n + " UPPIN YR i" + n + " TIL BOTH SAEM i" +
+                n + " AN 2\nc R SUM OF c AN 1\nIM OUTTA YR l" + n + "\n";
+  }
+  specs.push_back(make("many-loop-counters", counters + "VISIBLE c\n"));
+
+  // Nesting exactly at the parser's limit must run on every backend:
+  // each later stage recurses over the AST. Depth counts the VISIBLE or
+  // O RLY? statements, each SUM OF or BOTH SAEM, and the innermost
+  // operand.
+  std::string sums = "VISIBLE ";
+  std::string orlys;
+  std::string oics;
+  for (int i = 0; i < lol::parse::Parser::kMaxNesting - 2; ++i) {
+    sums += "SUM OF 1 AN ";
+    orlys += "BOTH SAEM ME AN ME\nO RLY?\nYA RLY\n";
+    oics += "OIC\n";
+  }
+  specs.push_back(make("nest-sums-at-limit", sums + "ME\n", 2));
+  specs.push_back(make("nest-orly-at-limit",
+                       orlys + "VISIBLE \"deep \" ME\n" + oics, 2));
 
   for (const Spec& spec : specs) {
     SCOPED_TRACE(spec.name);

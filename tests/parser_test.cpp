@@ -343,6 +343,49 @@ TEST(ParseErrors, TxtWithoutStatement) {
   EXPECT_THROW(parse_program("HAI\nTXT MAH BFF 0\nKTHXBYE\n"), ParseError);
 }
 
+/// `VISIBLE` over `n` nested SUM OFs: n + 2 levels deep, counting the
+/// statement, each SUM OF and the innermost literal.
+std::string nested_sums(int n) {
+  std::string src = "HAI 1.2\nVISIBLE ";
+  for (int i = 0; i < n; ++i) src += "SUM OF 1 AN ";
+  return src + "1\nKTHXBYE\n";
+}
+
+/// `n` nested O RLY? blocks around a VISIBLE: also n + 2 levels deep.
+std::string nested_orlys(int n) {
+  std::string src = "HAI 1.2\n";
+  for (int i = 0; i < n; ++i) src += "O RLY?\nYA RLY\n";
+  src += "VISIBLE 1\n";
+  for (int i = 0; i < n; ++i) src += "OIC\n";
+  return src + "KTHXBYE\n";
+}
+
+TEST(ParseErrors, NestingLimitIsExact) {
+  const int limit = lol::parse::Parser::kMaxNesting;
+  EXPECT_NO_THROW(parse_program(nested_sums(limit - 2)));
+  EXPECT_NO_THROW(parse_program(nested_orlys(limit - 2)));
+  try {
+    parse_program(nested_sums(limit - 1));
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    // Level limit + 1 is the left operand of the last SUM OF: "VISIBLE "
+    // is 8 columns, each "SUM OF 1 AN " 12, and the operand sits 7 in.
+    EXPECT_EQ(e.loc().line, 2u);
+    EXPECT_EQ(e.loc().col, 9u + 12u * (limit - 2) + 7u);
+    EXPECT_NE(std::string(e.what()).find("nest more than 1000 deep"),
+              std::string::npos)
+        << e.what();
+  }
+  try {
+    parse_program(nested_orlys(limit - 1));
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    // The operand of the VISIBLE inside the innermost YA RLY.
+    EXPECT_EQ(e.loc().line, 2u + 2u * (limit - 1));
+    EXPECT_EQ(e.loc().col, 9u);
+  }
+}
+
 TEST(ParseErrors, ReportsLocation) {
   try {
     parse_program("HAI 1.2\nx R\nKTHXBYE\n");

@@ -5,14 +5,10 @@
 // cancellation of queued and in-flight jobs, and two-tenant DRR fairness.
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <cstdio>
-#include <fstream>
 #include <future>
 #include <mutex>
 #include <random>
@@ -22,9 +18,6 @@
 
 #include "core/engine.hpp"
 #include "core/paper_programs.hpp"
-#include "obs/metrics.hpp"
-#include "opt/tuner.hpp"
-#include "replay/trace.hpp"
 #include "service/compile_cache.hpp"
 #include "service/service.hpp"
 #include "shmem/executor.hpp"
@@ -457,95 +450,6 @@ TEST(Service, OptLevelChangesStepAccountingAsDocumented) {
 
   // Two distinct compiles, no cross-level cache aliasing.
   EXPECT_EQ(svc.stats().cache.misses, 2u);
-}
-
-TEST(Service, TunerAppliesPersistedKnobsOnWarmRuns) {
-  // Seed a tuner store with a fiber-executor choice for kSum, then
-  // submit a job that leaves every knob at default. The service must
-  // actually run it on fibers (pinned by the fiber-switch counter, not
-  // just the report string) and say so in JobResult::tuned.
-  if (!lol::shmem::fiber_executor_available()) {
-    GTEST_SKIP() << "no fiber executor on this host";
-  }
-  std::string path =
-      "/tmp/lol_tuner_test_" + std::to_string(::getpid()) + ".knobs";
-  std::remove(path.c_str());
-  {
-    lol::opt::TunerStore store(path);
-    lol::opt::TunedKnobs k;
-    k.executor = "fiber";
-    k.pes_per_thread = 2;
-    store.store(lol::replay::fnv1a(kSum), 4, k);
-  }
-
-  auto& fiber_switches = lol::obs::Registry::global().counter(
-      "lol_fiber_switches_total",
-      "Fiber context switches performed by the fiber executor");
-  std::uint64_t before = fiber_switches.value();
-
-  ServiceOptions opts;
-  opts.workers = 1;
-  opts.tuner_cache_path = path;
-  Service svc(opts);
-
-  Job j = make_job("tuned", kSum, 4);  // defaults: pool executor
-  JobResult r = svc.submit(std::move(j)).get();
-  ASSERT_EQ(r.status, JobStatus::kOk) << r.error;
-  EXPECT_NE(r.tuned.find("executor=fiber"), std::string::npos) << r.tuned;
-  EXPECT_NE(r.tuned.find("pes_per_thread=2"), std::string::npos) << r.tuned;
-  EXPECT_GT(fiber_switches.value(), before)
-      << "tuned executor was reported but not actually used";
-
-  // A job that names its own executor keeps it: tuning never overrides
-  // an explicit request.
-  Job explicit_job = make_job("explicit", kSum, 4);
-  explicit_job.executor = lol::shmem::ExecutorKind::kThread;
-  JobResult r2 = svc.submit(std::move(explicit_job)).get();
-  ASSERT_EQ(r2.status, JobStatus::kOk) << r2.error;
-  EXPECT_EQ(r2.tuned.find("executor="), std::string::npos) << r2.tuned;
-  EXPECT_EQ(r.pe_output, r2.pe_output);
-
-  std::remove(path.c_str());
-}
-
-TEST(TunerStore, LoadsLegacyV2LinesAndRewritesThemAsV1) {
-  // Stores written while the unroller existed hold v2 lines with a
-  // trailing unroll cap. They still load, the cap is ignored, and the
-  // next store() rewrites the whole file in the v1 format.
-  std::string path =
-      "/tmp/lol_tuner_v2_test_" + std::to_string(::getpid()) + ".knobs";
-  {
-    std::ofstream out(path, std::ios::trunc);
-    out << "v2 11 4 2 fiber 2 16\n"
-        << "v2 22 8 0 - 0 -1\n"
-        << "v1 33 2 4 pool 0\n";
-  }
-  lol::opt::TunerStore store(path);
-  auto a = store.lookup(11, 4);
-  ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(a->barrier_radix, 2);
-  EXPECT_EQ(a->executor, "fiber");
-  EXPECT_EQ(a->pes_per_thread, 2);
-  auto b = store.lookup(22, 8);
-  ASSERT_TRUE(b.has_value());
-  EXPECT_FALSE(b->any());
-  auto c = store.lookup(33, 2);
-  ASSERT_TRUE(c.has_value());
-  EXPECT_EQ(c->executor, "pool");
-  EXPECT_FALSE(store.lookup(11, 8).has_value());
-
-  lol::opt::TunedKnobs k;
-  k.barrier_radix = 4;
-  store.store(44, 16, k);
-  std::ifstream in(path);
-  std::string line;
-  std::vector<std::string> lines;
-  while (std::getline(in, line)) lines.push_back(line);
-  EXPECT_EQ(lines, (std::vector<std::string>{"v1 11 4 2 fiber 2",
-                                             "v1 22 8 0 - 0",
-                                             "v1 33 2 4 pool 0",
-                                             "v1 44 16 4 - 0"}));
-  std::remove(path.c_str());
 }
 
 TEST(Service, MaxStepsCapClampsGreedyJobs) {

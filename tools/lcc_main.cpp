@@ -29,9 +29,13 @@
 
 namespace {
 
-int usage(const char* prog) {
-  std::fprintf(stderr,
+/// Prints the usage text: to stdout with status 0 for --help, to stderr
+/// with status 2 for a bad command line.
+int usage(const char* prog, std::FILE* out = stderr) {
+  std::fprintf(out,
                "usage: %s <input.lol> [-o output] [--emit-c] [--cc compiler]\n"
+               "  -h, --help   print this text and exit (an unknown flag\n"
+               "               exits 2)\n"
                "  -o <file>    output executable (default: a.out) or C file "
                "with --emit-c\n"
                "  --emit-c     write the generated C instead of compiling\n"
@@ -40,7 +44,7 @@ int usage(const char* prog) {
                "               (default 2; runs before C emission, so the\n"
                "               host cc compiles the optimized tree)\n",
                prog);
-  return 2;
+  return out == stdout ? 0 : 2;
 }
 
 std::string shell_quote(const std::string& s) {
@@ -60,20 +64,14 @@ std::string shell_quote(const std::string& s) {
 
 int main(int argc, char** argv) {
   lol::driver::Cli cli(argc, argv);
+  if (cli.has_flag("--help", "-h")) return usage(argv[0], stdout);
   bool emit_c_only = cli.has_flag("--emit-c");
   std::string output = cli.option("-o", "--output")
                            .value_or(emit_c_only ? "out.c" : "a.out");
   std::string cc = cli.option("--cc").value_or(
       std::getenv("CC") != nullptr ? std::getenv("CC") : "cc");
   lol::CompileOptions copts;
-  if (auto lvl = cli.option("--opt-level")) {
-    if (lvl->size() != 1 || (*lvl)[0] < '0' || (*lvl)[0] > '2') {
-      std::fprintf(stderr, "lcc: bad --opt-level '%s' (want 0, 1 or 2)\n",
-                   lvl->c_str());
-      return 2;
-    }
-    copts.opt_level = (*lvl)[0] - '0';
-  }
+  copts.opt_level = cli.number("--opt-level", copts.opt_level, 0, 2);
   const auto& pos = cli.positional();
   if (pos.size() != 1) return usage(argv[0]);
   const std::string& input = pos[0];

@@ -15,7 +15,6 @@
 #include "driver/cli.hpp"
 #include "noc/machines.hpp"
 #include "opt/opt.hpp"
-#include "opt/tuner.hpp"
 #include "parse/parser.hpp"
 #include "rt/io.hpp"
 #include "support/error.hpp"
@@ -23,10 +22,15 @@
 
 namespace {
 
-int usage(const char* prog) {
+/// Prints the usage text: to stdout with status 0 for --help, to stderr
+/// with status 2 for a bad command line.
+int usage(const char* prog, std::FILE* out = stderr) {
   std::fprintf(
-      stderr,
+      out,
       "usage: %s [options] <program.lol>\n"
+      "Numbers are whole decimals; a malformed or out-of-range value or an\n"
+      "unknown flag exits 2.\n"
+      "  -h, --help         print this text and exit\n"
       "  -np <N>            number of PEs (default 1, max 4096)\n"
       "  --backend <b>      vm (default), interp, or jit (vm + x86-64\n"
       "                     regions; plain vm elsewhere). For the paper's\n"
@@ -38,8 +42,8 @@ int usage(const char* prog) {
       "                     thread (default auto)\n"
       "  --barrier-radix <R>  combining-tree barrier fan-in (default auto;\n"
       "                     results are identical for every radix)\n"
-      "  --heap-bytes <B>   symmetric heap per PE (default 1 MiB; large -np\n"
-      "                     runs want this smaller)\n"
+      "  --heap-bytes <B>   symmetric heap per PE (default 1 MiB, max 1 GiB;\n"
+      "                     large -np runs want this smaller)\n"
       "  --seed <S>         WHATEVR/WHATEVAR seed\n"
       "  --max-steps <S>    per-PE step budget, 0 = unlimited (default)\n"
       "  --machine <m>      epiphany3 | xc40 | smp: enable simulated time\n"
@@ -64,33 +68,24 @@ int usage(const char* prog) {
       "  --no-stdin         do not feed piped stdin to GIMMEH\n"
       "  --opt-level <L>    optimizer level 0 (off), 1 (fold/prop/dce), or\n"
       "                     2 (adds fuse/licm/strength; default)\n"
-      "  --tune             run short calibration runs, print the chosen\n"
-      "                     runtime knobs, and persist them (--tuner-cache)\n"
-      "  --tuner-cache <f>  tuned-knob store: with --tune, where to\n"
-      "                     persist the winner (default .lol_tuner_cache);\n"
-      "                     without it, apply the stored runtime knobs to\n"
-      "                     this run\n"
       "  --jit-dump         --backend jit: hex + annotated dump of emitted\n"
       "                     regions to stderr (same as LOL_JIT_DUMP=1)\n"
       "  --dump-ast         print the (optimized) AST and exit\n"
       "  --dump-bytecode    print compiled bytecode and exit\n",
       prog);
-  return 2;
+  return out == stdout ? 0 : 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   lol::driver::Cli cli(argc, argv);
+  if (cli.has_flag("--help", "-h")) return usage(argv[0], stdout);
   lol::RunConfig cfg;
   cfg.backend = lol::Backend::kVm;
-  cfg.n_pes = std::atoi(cli.option("-np", "--np").value_or("1").c_str());
-  if (auto seed = cli.option("--seed")) {
-    cfg.seed = std::strtoull(seed->c_str(), nullptr, 10);
-  }
-  if (auto steps = cli.option("--max-steps")) {
-    cfg.max_steps = std::strtoull(steps->c_str(), nullptr, 10);
-  }
+  cfg.n_pes = cli.number("-np", 1, 1, 4096, "--np");
+  cfg.seed = cli.number("--seed", cfg.seed, 0);
+  cfg.max_steps = cli.number("--max-steps", cfg.max_steps, 0);
   if (auto backend = cli.option("--backend")) {
     if (auto b = lol::backend_from_name(*backend)) {
       cfg.backend = *b;
@@ -100,27 +95,18 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  // Cli::option consumes its match, so presence must be captured at the
-  // parse site — a later re-query would always come back empty (and the
-  // tuner apply path below needs to know which flags were explicit).
-  auto executor_flag = cli.option("--executor");
-  if (executor_flag) {
-    if (auto e = lol::shmem::executor_from_name(*executor_flag)) {
+  if (auto executor = cli.option("--executor")) {
+    if (auto e = lol::shmem::executor_from_name(*executor)) {
       cfg.executor = *e;
     } else {
       std::fprintf(stderr, "lolrun: unknown executor '%s'\n",
-                   executor_flag->c_str());
+                   executor->c_str());
       return 2;
     }
   }
-  auto ppt_flag = cli.option("--pes-per-thread");
-  if (ppt_flag) cfg.pes_per_thread = std::atoi(ppt_flag->c_str());
-  auto radix_flag = cli.option("--barrier-radix");
-  if (radix_flag) cfg.barrier_radix = std::atoi(radix_flag->c_str());
-  if (auto heap = cli.option("--heap-bytes")) {
-    cfg.heap_bytes = static_cast<std::size_t>(
-        std::strtoull(heap->c_str(), nullptr, 10));
-  }
+  cfg.pes_per_thread = cli.number("--pes-per-thread", 0, 0, 4096);
+  cfg.barrier_radix = cli.number("--barrier-radix", 0, 0, 4096);
+  cfg.heap_bytes = cli.number("--heap-bytes", cfg.heap_bytes, 1, 1u << 30);
   bool want_sim = cli.has_flag("--sim");
   if (auto machine = cli.option("--machine")) {
     cfg.machine = lol::noc::by_name(*machine);
@@ -133,15 +119,11 @@ int main(int argc, char** argv) {
   // Record/replay + fault injection (src/replay/).
   std::optional<std::string> record_path = cli.option("--record");
   std::optional<std::string> replay_path = cli.option("--replay");
-  int shake = 0;
-  if (auto s = cli.option("--shake")) shake = std::atoi(s->c_str());
-  std::uint64_t shake_seed = 1;
-  if (auto s = cli.option("--shake-seed")) {
-    shake_seed = std::strtoull(s->c_str(), nullptr, 10);
-  }
+  int shake = cli.number("--shake", 0, 0);
+  std::uint64_t shake_seed = cli.number("--shake-seed", std::uint64_t{1}, 0);
   if (auto seed = cli.option("--perturb-seed")) {
     cfg.schedule = lol::replay::ScheduleMode::kPerturb;
-    cfg.perturb_seed = std::strtoull(seed->c_str(), nullptr, 10);
+    cfg.perturb_seed = cli.checked_number("--perturb-seed", *seed, 0);
   } else if (record_path) {
     cfg.schedule = lol::replay::ScheduleMode::kRecord;
   }
@@ -182,18 +164,7 @@ int main(int argc, char** argv) {
   bool dump_ast = cli.has_flag("--dump-ast");
   bool dump_bc = cli.has_flag("--dump-bytecode");
   lol::CompileOptions copts;
-  if (auto lvl = cli.option("--opt-level")) {
-    if (lvl->size() != 1 || (*lvl)[0] < '0' || (*lvl)[0] > '2') {
-      std::fprintf(stderr, "lolrun: bad --opt-level '%s' (want 0, 1 or 2)\n",
-                   lvl->c_str());
-      return 2;
-    }
-    copts.opt_level = (*lvl)[0] - '0';
-  }
-  bool tune = cli.has_flag("--tune");
-  auto tuner_cache_flag = cli.option("--tuner-cache");
-  bool have_tuner_cache = tuner_cache_flag.has_value();
-  std::string tuner_cache = tuner_cache_flag.value_or(".lol_tuner_cache");
+  copts.opt_level = cli.number("--opt-level", copts.opt_level, 0, 2);
   if (cli.has_flag("--jit-dump")) {
 #if !defined(_WIN32)
     ::setenv("LOL_JIT_DUMP", "1", 1);  // read by the JIT build path
@@ -212,34 +183,12 @@ int main(int argc, char** argv) {
 #endif
 
   const auto& pos = cli.positional();
-  if (pos.size() != 1 || cfg.n_pes < 1) return usage(argv[0]);
+  if (pos.size() != 1) return usage(argv[0]);
 
   auto source = lol::driver::read_file(pos[0]);
   if (!source) {
     std::fprintf(stderr, "lolrun: cannot read '%s'\n", pos[0].c_str());
     return 1;
-  }
-
-  // An explicit --tuner-cache without --tune applies a persisted
-  // calibration winner, mirroring the service's warm-hit path: explicit
-  // flags always win, record/replay never tunes (traces are
-  // schedule-shape-sensitive).
-  if (have_tuner_cache && !tune &&
-      cfg.schedule == lol::replay::ScheduleMode::kNone) {
-    lol::opt::TunerStore store(tuner_cache);
-    if (auto k = store.lookup(lol::replay::fnv1a(*source), cfg.n_pes)) {
-      if (k->barrier_radix != 0 && !radix_flag) {
-        cfg.barrier_radix = k->barrier_radix;
-      }
-      if (!k->executor.empty() && !executor_flag) {
-        if (auto e = lol::shmem::executor_from_name(k->executor)) {
-          cfg.executor = *e;
-        }
-      }
-      if (k->pes_per_thread != 0 && !ppt_flag) {
-        cfg.pes_per_thread = k->pes_per_thread;
-      }
-    }
   }
 
   // Replay traces must distinguish the optimized shape that actually ran
@@ -250,16 +199,6 @@ int main(int argc, char** argv) {
 
   try {
     lol::CompiledProgram prog = lol::compile(*source, copts);
-    if (tune) {
-      lol::opt::TunerStore store(tuner_cache);
-      lol::opt::TunedKnobs knobs =
-          lol::opt::calibrate(prog, *source, cfg.n_pes, &store);
-      std::printf("tuned: barrier_radix=%d executor=%s pes_per_thread=%d\n",
-                  knobs.barrier_radix,
-                  knobs.executor.empty() ? "-" : knobs.executor.c_str(),
-                  knobs.pes_per_thread);
-      return 0;
-    }
     if (dump_ast) {
       std::cout << lol::ast::dump(prog.program) << "\n";
       return 0;

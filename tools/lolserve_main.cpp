@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <random>
 #include <sstream>
@@ -49,14 +50,19 @@ namespace fs = std::filesystem;
 
 namespace {
 
-int usage(const char* prog) {
+/// Prints the usage text: to stdout with status 0 for --help, to stderr
+/// with status 2 for a bad command line.
+int usage(const char* prog, std::FILE* out = stderr) {
   std::fprintf(
-      stderr,
+      out,
       "usage: %s [options] <job.lol | dir>...\n"
       "       %s --daemon [--listen <unix:PATH|tcp:PORT>] [options]\n"
       "       %s --client [--connect <unix:PATH|tcp:PORT>] <job.lol>... |\n"
       "                   --cancel <ID> | --stats | --metrics | --ping |\n"
       "                   --shutdown\n"
+      "Numbers are whole decimals; a malformed or out-of-range value or an\n"
+      "unknown flag exits 2.\n"
+      "  -h, --help         print this text and exit\n"
       "  --workers <N>      worker threads (default 4)\n"
       "  --queue <N>        bounded queue capacity (default 256)\n"
       "  --policy <p>       block (default) or reject when the queue is full\n"
@@ -72,9 +78,6 @@ int usage(const char* prog) {
       "  --opt-level <L>    optimizing middle-end level 0..2 for batch/\n"
       "                     client jobs (default 2; daemon jobs set\n"
       "                     \"opt_level\" per submission on the wire)\n"
-      "  --tuner-cache <file>  durable auto-tuner store; warm jobs get\n"
-      "                     the persisted knob winners applied (see\n"
-      "                     lolrun --tune)\n"
       "  --max-pes <N>      clamp on per-job n_pes (default 64)\n"
       "  --max-queued-per-tenant <N>  per-tenant queued-job quota; over-\n"
       "                     quota submissions get status quota-exceeded\n"
@@ -117,7 +120,7 @@ int usage(const char* prog) {
       "  --metrics          client: print the daemon's Prometheus text\n"
       "                     exposition (decoded, scraper-ready)\n",
       prog, prog, prog);
-  return 2;
+  return out == stdout ? 0 : 2;
 }
 
 struct JobSpec {
@@ -184,20 +187,43 @@ bool parse_tenant_weights(const std::string& arg,
   while (std::getline(in, item, ',')) {
     auto eq = item.find('=');
     if (eq == std::string::npos || eq == 0) return false;
-    int w = std::atoi(item.c_str() + eq + 1);
-    if (w < 1) return false;
-    out[item.substr(0, eq)] = w;
+    auto w = lol::driver::parse_number(item.substr(eq + 1), 1,
+                                       std::numeric_limits<int>::max());
+    if (!w) return false;
+    out[item.substr(0, eq)] = static_cast<int>(*w);
   }
   return true;
 }
 
+/// Parses the unix:PATH or tcp:PORT value of --listen/--connect into the
+/// address fields of DaemonOptions; anything else exits 2.
+lol::service::DaemonOptions parse_addr(const char* flag,
+                                       const std::string& addr) {
+  lol::service::DaemonOptions out;
+  if (addr.rfind("unix:", 0) == 0) {
+    out.unix_path = addr.substr(5);
+    return out;
+  }
+  if (addr.rfind("tcp:", 0) == 0) {
+    if (auto port = lol::driver::parse_number(addr.substr(4), 0, 65535)) {
+      out.tcp_port = static_cast<int>(*port);
+      return out;
+    }
+  }
+  std::fprintf(stderr,
+               "lolserve: bad %s '%s' (want unix:PATH or tcp:PORT with PORT "
+               "in 0..65535)\n",
+               flag, addr.c_str());
+  std::exit(2);
+}
+
 #if !defined(_WIN32)
 
-/// Connects to a daemon at unix:PATH or tcp:PORT; -1 + message on failure.
-int client_connect(const std::string& addr) {
+/// Connects to a daemon at a parse_addr address; -1 + message on failure.
+int client_connect(const lol::service::DaemonOptions& addr) {
   int fd = -1;
-  if (addr.rfind("unix:", 0) == 0) {
-    std::string path = addr.substr(5);
+  if (!addr.unix_path.empty()) {
+    const std::string& path = addr.unix_path;
     sockaddr_un sa{};
     sa.sun_family = AF_UNIX;
     if (path.size() >= sizeof(sa.sun_path)) {
@@ -211,26 +237,25 @@ int client_connect(const std::string& addr) {
       ::close(fd);
       fd = -1;
     }
-  } else if (addr.rfind("tcp:", 0) == 0) {
+  } else {
     sockaddr_in sa{};
     sa.sin_family = AF_INET;
     sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    sa.sin_port = htons(static_cast<std::uint16_t>(std::atoi(addr.c_str() + 4)));
+    sa.sin_port = htons(static_cast<std::uint16_t>(addr.tcp_port));
     fd = ::socket(AF_INET, SOCK_STREAM, 0);
     if (fd >= 0 &&
         ::connect(fd, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)) < 0) {
       ::close(fd);
       fd = -1;
     }
-  } else {
-    std::fprintf(stderr,
-                 "lolserve: --connect wants unix:PATH or tcp:PORT, got '%s'\n",
-                 addr.c_str());
-    return -1;
   }
   if (fd < 0) {
-    std::fprintf(stderr, "lolserve: cannot connect to %s: %s\n", addr.c_str(),
-                 std::strerror(errno));
+    const int err = errno;
+    std::string where = addr.unix_path.empty()
+                            ? "tcp:" + std::to_string(addr.tcp_port)
+                            : "unix:" + addr.unix_path;
+    std::fprintf(stderr, "lolserve: cannot connect to %s: %s\n",
+                 where.c_str(), std::strerror(err));
   }
   return fd;
 }
@@ -282,7 +307,8 @@ struct ClientAction {
 /// submitted job reported status "ok" (with --cancel-after-ms,
 /// "cancelled" counts as expected too) or the one-shot request
 /// succeeded — a refused cancel exits 1.
-int run_client(const std::string& addr, const ClientAction& action,
+int run_client(const lol::service::DaemonOptions& addr,
+               const ClientAction& action,
                const std::vector<lol::service::Job>& jobs) {
   int fd = client_connect(addr);
   if (fd < 0) return 1;
@@ -452,20 +478,9 @@ int run_client(const std::string& addr, const ClientAction& action,
 
 #endif  // !_WIN32
 
-int run_daemon(lol::service::ServiceOptions opts, const std::string& listen,
+int run_daemon(lol::service::ServiceOptions opts,
+               const lol::service::DaemonOptions& dopts,
                int metrics_interval_s, const std::string& metrics_out) {
-  lol::service::DaemonOptions dopts;
-  if (listen.rfind("unix:", 0) == 0) {
-    dopts.unix_path = listen.substr(5);
-  } else if (listen.rfind("tcp:", 0) == 0) {
-    dopts.tcp_port = std::atoi(listen.c_str() + 4);
-  } else {
-    std::fprintf(stderr,
-                 "lolserve: --listen wants unix:PATH or tcp:PORT, got '%s'\n",
-                 listen.c_str());
-    return 2;
-  }
-
   lol::service::Service svc(opts);
   lol::service::Daemon daemon(svc, dopts);
   std::string err;
@@ -537,11 +552,11 @@ int run_daemon(lol::service::ServiceOptions opts, const std::string& listen,
 
 int main(int argc, char** argv) {
   lol::driver::Cli cli(argc, argv);
+  if (cli.has_flag("--help", "-h")) return usage(argv[0], stdout);
 
   lol::service::ServiceOptions opts;
-  opts.workers = std::atoi(cli.option("--workers").value_or("4").c_str());
-  opts.queue_capacity = static_cast<std::size_t>(std::strtoull(
-      cli.option("--queue").value_or("256").c_str(), nullptr, 10));
+  opts.workers = cli.number("--workers", 4, 1, 1024);
+  opts.queue_capacity = cli.number("--queue", std::size_t{256}, 1);
   if (auto policy = cli.option("--policy")) {
     if (*policy == "reject") {
       opts.queue_full = lol::service::QueueFullPolicy::kReject;
@@ -551,86 +566,26 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  if (auto steps = cli.option("--max-steps")) {
-    opts.default_max_steps = std::strtoull(steps->c_str(), nullptr, 10);
-  }
-  if (auto deadline = cli.option("--deadline-ms")) {
-    opts.default_deadline_ms = std::strtoull(deadline->c_str(), nullptr, 10);
-  }
+  opts.default_max_steps =
+      cli.number("--max-steps", opts.default_max_steps, 0);
+  opts.default_deadline_ms =
+      cli.number("--deadline-ms", opts.default_deadline_ms, 0);
   if (auto weights = cli.option("--tenant-weights")) {
     if (!parse_tenant_weights(*weights, opts.tenant_weights)) {
       std::fprintf(stderr,
-                   "lolserve: --tenant-weights wants name=N[,name=N...] "
-                   "with N >= 1\n");
+                   "lolserve: bad --tenant-weights '%s' (want "
+                   "name=N[,name=N...] with N a whole number >= 1)\n",
+                   weights->c_str());
       return 2;
     }
   }
-  if (auto max_pes = cli.option("--max-pes")) {
-    opts.max_pes = std::atoi(max_pes->c_str());
-    if (opts.max_pes < 1) return usage(argv[0]);
-  }
-  if (auto quota = cli.option("--max-queued-per-tenant")) {
-    opts.max_queued_per_tenant = static_cast<std::size_t>(
-        std::strtoull(quota->c_str(), nullptr, 10));
-  }
-  opts.tuner_cache_path = cli.option("--tuner-cache").value_or("");
-  int opt_level = 2;
-  if (auto lvl = cli.option("--opt-level")) {
-    if (lvl->size() != 1 || (*lvl)[0] < '0' || (*lvl)[0] > '2') {
-      std::fprintf(stderr,
-                   "lolserve: bad --opt-level '%s' (want 0, 1 or 2)\n",
-                   lvl->c_str());
-      return 2;
-    }
-    opt_level = (*lvl)[0] - '0';
-  }
-  if (opts.workers < 1) return usage(argv[0]);
+  opts.max_pes = cli.number("--max-pes", opts.max_pes, 1, 4096);
+  opts.max_queued_per_tenant = cli.number(
+      "--max-queued-per-tenant", opts.max_queued_per_tenant, 0);
 
-  if (cli.has_flag("--daemon")) {
-    std::string listen = cli.option("--listen").value_or("tcp:4004");
-    int metrics_interval = std::atoi(
-        cli.option("--metrics-interval").value_or("0").c_str());
-    std::string metrics_out = cli.option("--metrics-out").value_or("");
-    return run_daemon(std::move(opts), listen, metrics_interval,
-                      metrics_out);
-  }
-
-  bool client = cli.has_flag("--client");
-#if defined(_WIN32)
-  if (client) {
-    std::fprintf(stderr, "lolserve: --client needs POSIX sockets\n");
-    return 2;
-  }
-#else
-  // Flags are consumed on first query, so resolve the whole client
-  // action here; one-shot requests carry no job files and short-circuit
-  // before the batch path demands positional arguments.
-  ClientAction client_action;
-  std::string connect_addr;
-  if (client) {
-    connect_addr = cli.option("--connect").value_or("tcp:4004");
-    if (cli.has_flag("--ping")) {
-      client_action.kind = ClientAction::kPing;
-    } else if (cli.has_flag("--stats")) {
-      client_action.kind = ClientAction::kStats;
-    } else if (cli.has_flag("--metrics")) {
-      client_action.kind = ClientAction::kMetrics;
-    } else if (cli.has_flag("--shutdown")) {
-      client_action.kind = ClientAction::kShutdown;
-    } else if (auto id = cli.option("--cancel")) {
-      client_action.kind = ClientAction::kCancel;
-      client_action.cancel_id = std::strtoull(id->c_str(), nullptr, 10);
-    } else if (auto after = cli.option("--cancel-after-ms")) {
-      client_action.cancel_after_ms =
-          std::strtoull(after->c_str(), nullptr, 10);
-    }
-    if (client_action.kind != ClientAction::kSubmit) {
-      return run_client(connect_addr, client_action, {});
-    }
-  }
-#endif
-
-  int default_pes = std::atoi(cli.option("-np", "--np").value_or("1").c_str());
+  // Job flags: batch and client jobs carry them, the daemon ignores them.
+  int opt_level = cli.number("--opt-level", 2, 0, 2);
+  int default_pes = cli.number("-np", 1, 1, 4096, "--np");
   std::string default_tenant = cli.option("--tenant").value_or("");
   lol::Backend backend = lol::Backend::kVm;
   if (auto name = cli.option("--backend")) {
@@ -650,15 +605,13 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  int pes_per_thread =
-      std::atoi(cli.option("--pes-per-thread").value_or("0").c_str());
-  int barrier_radix =
-      std::atoi(cli.option("--barrier-radix").value_or("0").c_str());
-  int repeat = std::atoi(cli.option("--repeat").value_or("1").c_str());
+  int pes_per_thread = cli.number("--pes-per-thread", 0, 0, 4096);
+  int barrier_radix = cli.number("--barrier-radix", 0, 0, 4096);
+  int repeat = cli.number("--repeat", 1, 1);
   bool quiet = cli.has_flag("--quiet");
   bool shuffle = cli.has_flag("--shuffle");
-  std::uint64_t shuffle_seed = std::strtoull(
-      cli.option("--shuffle-seed").value_or("20170529").c_str(), nullptr, 10);
+  std::uint64_t shuffle_seed =
+      cli.number("--shuffle-seed", std::uint64_t{20170529}, 0);
 
   // Record/replay + fault injection, applied to every job in the batch.
   std::string record_path = cli.option("--record").value_or("");
@@ -667,11 +620,74 @@ int main(int argc, char** argv) {
   std::string replay_trace_text;
   if (auto seed = cli.option("--perturb-seed")) {
     schedule = lol::replay::ScheduleMode::kPerturb;
-    perturb_seed = std::strtoull(seed->c_str(), nullptr, 10);
+    perturb_seed = cli.checked_number("--perturb-seed", *seed, 0);
   } else if (!record_path.empty()) {
     schedule = lol::replay::ScheduleMode::kRecord;
   }
-  if (auto replay_path = cli.option("--replay")) {
+  std::optional<std::string> replay_path = cli.option("--replay");
+  std::string fault_spec = cli.option("--fault").value_or("");
+  if (!fault_spec.empty()) {
+    std::string ferr;
+    if (!lol::replay::parse_fault_spec(fault_spec, nullptr, &ferr)) {
+      std::fprintf(stderr, "lolserve: %s\n", ferr.c_str());
+      return 2;
+    }
+  }
+  std::optional<std::string> manifest = cli.option("--manifest");
+
+  if (cli.has_flag("--daemon")) {
+    auto dopts = parse_addr(
+        "--listen", cli.option("--listen").value_or("tcp:4004"));
+    int metrics_interval = cli.number("--metrics-interval", 0, 0, 86400);
+    std::string metrics_out = cli.option("--metrics-out").value_or("");
+    if (!cli.positional().empty()) return usage(argv[0]);
+    return run_daemon(std::move(opts), dopts, metrics_interval, metrics_out);
+  }
+
+  bool client = cli.has_flag("--client");
+#if defined(_WIN32)
+  if (client) {
+    std::fprintf(stderr, "lolserve: --client needs POSIX sockets\n");
+    return 2;
+  }
+#else
+  // One-shot client requests carry no job files and short-circuit
+  // before the batch path demands positional arguments.
+  ClientAction client_action;
+  lol::service::DaemonOptions connect_addr;
+  if (client) {
+    connect_addr = parse_addr(
+        "--connect", cli.option("--connect").value_or("tcp:4004"));
+    const bool ping = cli.has_flag("--ping");
+    const bool stats = cli.has_flag("--stats");
+    const bool metrics = cli.has_flag("--metrics");
+    const bool shutdown = cli.has_flag("--shutdown");
+    auto cancel_id = cli.option("--cancel");
+    client_action.cancel_after_ms =
+        cli.number("--cancel-after-ms", std::uint64_t{0}, 0);
+    if (ping) {
+      client_action.kind = ClientAction::kPing;
+    } else if (stats) {
+      client_action.kind = ClientAction::kStats;
+    } else if (metrics) {
+      client_action.kind = ClientAction::kMetrics;
+    } else if (shutdown) {
+      client_action.kind = ClientAction::kShutdown;
+    } else if (cancel_id) {
+      client_action.kind = ClientAction::kCancel;
+      client_action.cancel_id =
+          cli.checked_number("--cancel", *cancel_id, 0);
+    }
+    if (client_action.kind != ClientAction::kSubmit) {
+      (void)cli.positional();  // rejects unknown flags
+      return run_client(connect_addr, client_action, {});
+    }
+  }
+#endif
+
+  // Every flag is parsed by now, so this also rejects unknown ones.
+  const std::vector<std::string>& positional = cli.positional();
+  if (replay_path) {
     auto text = lol::driver::read_file(*replay_path);
     if (!text) {
       std::fprintf(stderr, "lolserve: cannot read trace '%s'\n",
@@ -681,25 +697,13 @@ int main(int argc, char** argv) {
     schedule = lol::replay::ScheduleMode::kReplay;
     replay_trace_text = std::move(*text);
   }
-  std::string fault_spec = cli.option("--fault").value_or("");
-  if (!fault_spec.empty()) {
-    std::string ferr;
-    if (!lol::replay::parse_fault_spec(fault_spec, nullptr, &ferr)) {
-      std::fprintf(stderr, "lolserve: %s\n", ferr.c_str());
-      return 2;
-    }
-  }
 
   std::vector<JobSpec> specs;
-  if (auto manifest = cli.option("--manifest")) {
-    if (!read_manifest(*manifest, specs)) return 1;
-  }
-  for (const auto& arg : cli.positional()) {
+  if (manifest && !read_manifest(*manifest, specs)) return 1;
+  for (const auto& arg : positional) {
     if (!expand_path(arg, specs)) return 1;
   }
-  if (specs.empty() || default_pes < 1 || repeat < 1) {
-    return usage(argv[0]);
-  }
+  if (specs.empty()) return usage(argv[0]);
 
   // Read every source once up front so IO errors surface before launch.
   std::vector<lol::service::Job> jobs;
@@ -752,11 +756,10 @@ int main(int argc, char** argv) {
                     trace.empty() ? "" : " > ", sp.name.c_str(), sp.dur_ms);
       trace += buf;
     }
-    std::string tuned = r.tuned.empty() ? "" : " [tuned " + r.tuned + "]";
     std::lock_guard<std::mutex> g(print_m);
-    std::printf("[%s] %s%s%s (queue %.2f ms, run %.2f ms) [trace: %s]%s%s\n",
+    std::printf("[%s] %s%s (queue %.2f ms, run %.2f ms) [trace: %s]%s%s\n",
                 lol::service::to_string(r.status), r.name.c_str(),
-                r.compile_cache_hit ? " [cached]" : "", tuned.c_str(),
+                r.compile_cache_hit ? " [cached]" : "",
                 r.queue_ms, r.run_ms, trace.c_str(),
                 r.error.empty() ? "" : " — ", r.error.c_str());
     std::fflush(stdout);
