@@ -117,7 +117,7 @@ RunResult aborted_before_launch(int n_pes) {
 
 RunResult run(const CompiledProgram& prog, const RunConfig& cfg) {
   // Fast path for a cancel that lands while the job is still queued:
-  // skip Runtime construction (arenas) entirely.
+  // skip Runtime construction (heap mapping, barrier tree) entirely.
   if (cfg.abort != nullptr && cfg.abort->requested()) {
     return aborted_before_launch(cfg.n_pes);
   }

@@ -1,8 +1,12 @@
 #include "shmem/runtime.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <limits>
 #include <thread>
 
 #include "obs/metrics.hpp"
@@ -348,11 +352,31 @@ Runtime::Runtime(Config cfg) : cfg_(std::move(cfg)) {
     throw RuntimeError("n_pes must be in [1, 4096], got " +
                        std::to_string(cfg_.n_pes));
   }
-  if (cfg_.heap_bytes % kAlign != 0) {
-    cfg_.heap_bytes = (cfg_.heap_bytes + kAlign - 1) & ~(kAlign - 1);
+  const auto n = static_cast<std::size_t>(cfg_.n_pes);
+  auto heap_error = [n, per_pe = cfg_.heap_bytes](int err) {
+    return RuntimeError("cannot map the symmetric heap for " +
+                        std::to_string(n) + " PEs x " +
+                        std::to_string(per_pe) + " bytes: " +
+                        std::strerror(err));
+  };
+  // Bounds both the alignment round-up and n_pes × heap_bytes.
+  if (cfg_.heap_bytes >
+      std::numeric_limits<std::size_t>::max() / n - (kAlign - 1)) {
+    throw heap_error(EOVERFLOW);
   }
-  arenas_.resize(static_cast<std::size_t>(cfg_.n_pes));
-  for (auto& a : arenas_) a.resize(cfg_.heap_bytes);
+  cfg_.heap_bytes = (cfg_.heap_bytes + kAlign - 1) & ~(kAlign - 1);
+  // Reserved, not committed: pages are zero-filled on first touch. A
+  // zero-byte heap still maps one page so every arena has an address.
+  const std::size_t span = std::max<std::size_t>(n * cfg_.heap_bytes, 1);
+  void* base = mmap(nullptr, span, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  if (base == MAP_FAILED) throw heap_error(errno);
+  heap_ = {static_cast<std::byte*>(base), HeapUnmap{span}};
+#ifdef MADV_NOHUGEPAGE
+  // Under THP "always" one touched word could fault in (and zero) a
+  // whole 2 MiB page; PEs touch a few words each. Advisory only.
+  (void)madvise(base, span, MADV_NOHUGEPAGE);
+#endif
   scratch_i64_.resize(static_cast<std::size_t>(cfg_.n_pes));
   scratch_f64_.resize(static_cast<std::size_t>(cfg_.n_pes));
   for (int i = 0; i < cfg_.n_locks; ++i) locks_.emplace_back();
@@ -395,8 +419,8 @@ int Runtime::child_count(int level, int node_i) const {
   return std::min(children, lo + radix_) - lo;
 }
 
-std::byte* Runtime::arena(int pe) {
-  return arenas_[static_cast<std::size_t>(pe)].data();
+void Runtime::HeapUnmap::operator()(std::byte* base) const {
+  munmap(base, span);
 }
 
 void Runtime::abort() {
@@ -425,7 +449,14 @@ void Runtime::reset_for_launch() {
   for (int i = 0; i < cfg_.n_pes; ++i) pe_ns_[static_cast<std::size_t>(i)].ns = 0.0;
   // Owners are reset so a previous aborted launch cannot leave one held.
   for (auto& lock : locks_) lock.owner.store(-1, std::memory_order_relaxed);
-  for (auto& a : arenas_) std::fill(a.begin(), a.end(), std::byte{0});
+  // Drop every page a previous launch touched; each reads back as zero.
+  // The cost follows the resident pages, not the reserved span, and it
+  // is exact: put/get may write any offset below heap_bytes, not only
+  // what shmalloc handed out.
+  const std::size_t span = heap_.get_deleter().span;
+  if (madvise(heap_.get(), span, MADV_DONTNEED) != 0) {
+    std::memset(heap_.get(), 0, span);
+  }
   std::fill(scratch_i64_.begin(), scratch_i64_.end(), 0);
   std::fill(scratch_f64_.begin(), scratch_f64_.end(), 0.0);
   ++launch_counter_;

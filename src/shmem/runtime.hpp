@@ -207,8 +207,16 @@ struct LaunchResult {
 /// The shared SPMD runtime: owns the arenas, the barrier, the locks and
 /// the collective scratch space. One Runtime can perform many launches;
 /// state is reset at the start of each launch.
+///
+/// All arenas live in one anonymous private mapping of n_pes × heap_bytes
+/// that is reserved, not committed: the kernel zero-fills a page on first
+/// touch, so a job pays for the heap words it uses, not for the heap it
+/// was given, and heap_bytes only bounds shmalloc and put/get offsets.
+/// A relaunch drops the mapping's pages, which reads back as zero.
 class Runtime {
  public:
+  /// Throws support::RuntimeError when n_pes × heap_bytes overflows or
+  /// cannot be mapped.
   explicit Runtime(Config cfg);
 
   /// Runs `fn` on n_pes PEs (SPMD) via the configured executor —
@@ -283,8 +291,11 @@ class Runtime {
   }
 
   /// Direct arena access (tests and the Figure-1 bench use this to verify
-  /// symmetric layout).
-  [[nodiscard]] std::byte* arena(int pe);
+  /// symmetric layout). Arenas are contiguous: arena(pe) + heap_bytes()
+  /// is arena(pe + 1).
+  [[nodiscard]] std::byte* arena(int pe) {
+    return heap_.get() + static_cast<std::size_t>(pe) * cfg_.heap_bytes;
+  }
 
   /// Requests cooperative abort: wakes barrier waiters and lock spinners.
   void abort();
@@ -346,8 +357,16 @@ class Runtime {
                     CollOp op);
   void fire_root(std::uint64_t my_gen, CollOp op);
 
+  /// munmap()s the heap mapping; carries the mapping's length. (No
+  /// member initializer: it would make the deleter, and so heap_'s
+  /// default constructor, unusable inside the incomplete Runtime.)
+  struct HeapUnmap {
+    std::size_t span;  // value-initialized to 0 while heap_ is empty
+    void operator()(std::byte* base) const;
+  };
+
   Config cfg_;
-  std::vector<std::vector<std::byte>> arenas_;
+  std::unique_ptr<std::byte, HeapUnmap> heap_;  // behind every arena
 
   int radix_ = 0;                    // resolved fan-in (>= 2)
   std::vector<int> level_width_;     // nodes per level; level 0 = leaves

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <condition_variable>
 #include <future>
 #include <mutex>
@@ -495,6 +496,29 @@ TEST(Service, HeapCapClampsGreedyJobs) {
   JobResult r = svc.submit(std::move(j)).get();
   EXPECT_EQ(r.status, JobStatus::kRuntimeError);
   EXPECT_NE(r.error.find("symmetric heap"), std::string::npos) << r.error;
+}
+
+// A heap the Runtime cannot map throws from inside lol::run, outside
+// every per-PE guard; the job fails typed and the worker lives on.
+TEST(Service, UnmappableHeapFailsTheJobNotTheWorker) {
+  ServiceOptions opts;
+  opts.workers = 1;
+  opts.max_pes = 4096;
+  opts.heap_bytes_cap = 0;  // uncapped: the request reaches the Runtime
+  Service svc(opts);
+
+  Job j = make_job("huge", kHello, 4096);
+  j.heap_bytes = SIZE_MAX / 2;  // n_pes x heap_bytes overflows
+  JobResult r = svc.submit(std::move(j)).get();
+  EXPECT_EQ(r.status, JobStatus::kRuntimeError);
+  EXPECT_NE(r.error.find("cannot map the symmetric heap for 4096 PEs"),
+            std::string::npos)
+      << r.error;
+
+  JobResult next = svc.submit(make_job("next", kHello, 2)).get();
+  EXPECT_EQ(next.status, JobStatus::kOk) << next.error;
+  ASSERT_EQ(next.pe_output.size(), 2u);
+  EXPECT_EQ(next.pe_output[1], "O HAI1\n");
 }
 
 TEST(Service, CompileErrorsAreReportedAndCached) {

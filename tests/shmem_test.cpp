@@ -1,12 +1,18 @@
 // Shmem substrate tests: symmetric allocation, one-sided put/get,
 // barriers, global locks, atomics, collectives, abort behaviour, and
-// simulated-time accounting.
+// simulated-time accounting, and the lazily committed symmetric heap.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <array>
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <thread>
+#include <vector>
 
 #include "noc/machines.hpp"
 #include "noc/uniform.hpp"
@@ -310,6 +316,89 @@ TEST(Shmem, RuntimeIsReusableAcrossLaunches) {
   }
 }
 
+// A relaunch must zero every byte a previous launch could reach, not
+// only what shmalloc handed out: put/get accept any offset below
+// heap_bytes, so a high-water-mark reset would leak the last word.
+TEST(Shmem, RelaunchZeroesTheWholeHeap) {
+  Config cfg;
+  cfg.n_pes = 2;
+  cfg.heap_bytes = 64 << 10;
+  Runtime rt(cfg);
+  const std::size_t last = cfg.heap_bytes - 8;
+  auto r = rt.launch([&](Pe& pe) {
+    std::size_t off = pe.shmalloc(8);
+    pe.put_i64(pe.id(), off, 7);
+    pe.put_i64(pe.id(), last, 9);  // never shmalloc'd
+  });
+  ASSERT_TRUE(r.ok) << r.first_error();
+  std::array<std::int64_t, 2> alloced{-1, -1};
+  std::array<std::int64_t, 2> tail{-1, -1};
+  r = rt.launch([&](Pe& pe) {
+    std::size_t off = pe.shmalloc(8);
+    const auto i = static_cast<std::size_t>(pe.id());
+    alloced[i] = pe.get_i64(pe.id(), off);
+    tail[i] = pe.get_i64(pe.id(), last);
+  });
+  ASSERT_TRUE(r.ok) << r.first_error();
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(alloced[i], 0) << "PE " << i;
+    EXPECT_EQ(tail[i], 0) << "PE " << i;
+  }
+}
+
+TEST(Shmem, UnmappableHeapIsATypedError) {
+  auto ctor_error = [](int n_pes, std::size_t heap_bytes) -> std::string {
+    Config cfg;
+    cfg.n_pes = n_pes;
+    cfg.heap_bytes = heap_bytes;
+    try {
+      Runtime rt(cfg);
+    } catch (const RuntimeError& e) {
+      return e.what();
+    }
+    return "no error";
+  };
+  // n_pes × heap_bytes overflows size_t.
+  const std::size_t half = SIZE_MAX / 2;
+  std::string e = ctor_error(4096, half);
+  EXPECT_NE(e.find("symmetric heap for 4096 PEs x " + std::to_string(half) +
+                   " bytes: "),
+            std::string::npos)
+      << e;
+  EXPECT_NE(e.find(std::strerror(EOVERFLOW)), std::string::npos) << e;
+  // Fits in size_t, but not in any address space: mmap itself refuses.
+  e = ctor_error(1, std::size_t{1} << 62);
+  EXPECT_NE(e.find("symmetric heap for 1 PEs x "), std::string::npos) << e;
+  EXPECT_NE(e.find(std::strerror(ENOMEM)), std::string::npos) << e;
+}
+
+/// Resident pages of the whole heap, arena(0) .. arena(n-1) + heap_bytes.
+std::size_t resident_heap_pages(Runtime& rt) {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  const std::size_t span =
+      static_cast<std::size_t>(rt.n_pes()) * rt.heap_bytes();
+  std::vector<unsigned char> vec((span + page - 1) / page);
+  EXPECT_EQ(mincore(rt.arena(0), span, vec.data()), 0) << std::strerror(errno);
+  std::size_t n = 0;
+  for (unsigned char v : vec) n += v & 1u;
+  return n;
+}
+
+// The paper's largest machine at the default 1 MiB heap reserves 4 GiB;
+// a job pays only for the pages it touches.
+TEST(Shmem, HeapIsCommittedOnFirstTouch) {
+  Config cfg;
+  cfg.n_pes = 4096;
+  cfg.executor =
+      lol::shmem::make_executor(lol::shmem::ExecutorKind::kFiber, 512);
+  Runtime rt(cfg);
+  ASSERT_EQ(rt.heap_bytes(), std::size_t{1} << 20);
+  EXPECT_EQ(resident_heap_pages(rt), 0u);
+  auto r = rt.launch([&](Pe& pe) { pe.put_i64(pe.id(), 0, pe.id() + 1); });
+  ASSERT_TRUE(r.ok) << r.first_error();
+  EXPECT_LE(resident_heap_pages(rt), 4096u);
+}
+
 TEST(Shmem, SimulatedTimeChargesRemoteOps) {
   Config cfg;
   cfg.n_pes = 4;
@@ -404,7 +493,7 @@ INSTANTIATE_TEST_SUITE_P(PeCounts, ShmemPeSweep,
 TEST(TreeBarrier, ResolvesAutoRadixAndDepth) {
   Config cfg;
   cfg.n_pes = 4096;
-  cfg.heap_bytes = 4096;  // accessor test; default arenas would be 4 GiB
+  cfg.heap_bytes = 4096;  // accessor test; the heap size is irrelevant
   Runtime rt(cfg);
   EXPECT_EQ(rt.barrier_radix(), 8);  // auto
   EXPECT_EQ(rt.barrier_levels(), 4);  // 4096 -> 512 -> 64 -> 8 -> 1

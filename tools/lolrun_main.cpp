@@ -42,8 +42,7 @@ int usage(const char* prog, std::FILE* out = stderr) {
       "                     thread (default auto)\n"
       "  --barrier-radix <R>  combining-tree barrier fan-in (default auto;\n"
       "                     results are identical for every radix)\n"
-      "  --heap-bytes <B>   symmetric heap per PE (default 1 MiB, max 1 GiB;\n"
-      "                     large -np runs want this smaller)\n"
+      "  --heap-bytes <B>   symmetric heap per PE (default 1 MiB, max 1 GiB)\n"
       "  --seed <S>         WHATEVR/WHATEVAR seed\n"
       "  --max-steps <S>    per-PE step budget, 0 = unlimited (default)\n"
       "  --machine <m>      epiphany3 | xc40 | smp: enable simulated time\n"
